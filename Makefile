@@ -7,7 +7,7 @@ PY := PYTHONPATH=src python -m
 
 .PHONY: check lint test property obs serve test-serve chaos chaos-crash \
 	bench bench-obs bench-serve bench-check bench-scale-smoke soak-smoke \
-	drift reference-update
+	perfbench-smoke drift reference-update
 
 check: lint
 	$(PY) pytest -q -m "not chaos and not chaos_crash"
@@ -71,6 +71,19 @@ soak-smoke:
 # committed BENCH_*.json baselines (see benchmarks/check_regression.py).
 bench-check:
 	PYTHONPATH=src python benchmarks/check_regression.py
+
+# Benchmark smoke: perfbench's helper tests, then one short traced run
+# per workload.  The traced run wraps program functions by name, so a
+# rename or deletion that breaks one fails here, not in the next
+# benchmark run.
+PERFBENCH_SMOKE_WORKLOADS := offline-scan dense-paper serve-mixed
+
+perfbench-smoke:
+	python -m pytest -q perfbench/tests
+	for workload in $(PERFBENCH_SMOKE_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$workload --seed 1 --seconds 1 --trace 1 \
+			|| exit 1; \
+	done
 
 # Accuracy drift gate: re-run the canonical seeded sweep into a fresh
 # ledger and check it against the committed reference bands.

@@ -93,11 +93,8 @@ class CandidateSet:
         rows: list[tuple[np.ndarray, np.ndarray]],
         n_targets: int,
     ) -> "CandidateSet":
-        """From per-row ``(ids, scores)`` pairs of varying length.
-
-        Rows are sorted best-first here, so callers (the IVF index) can
-        hand over raw gathered candidates.
-        """
+        """From per-row ``(ids, scores)`` pairs of varying length, in any
+        order (rows are sorted best-first here)."""
         counts = np.array([len(ids) for ids, _ in rows], dtype=np.int64)
         indptr = np.concatenate([[0], np.cumsum(counts)])
         indices = np.empty(int(indptr[-1]), dtype=np.int64)
@@ -289,4 +286,67 @@ class CandidateSet:
         return (
             f"CandidateSet(n_sources={self.n_sources}, n_targets={self.n_targets}, "
             f"nnz={self.nnz}, k_max={self.k_max})"
+        )
+
+
+class TopK:
+    """A fixed ``(n_rows, k)`` running top-k under the total order
+    ``(-score, id asc)``.
+
+    Because the order is total, blocks merge in any order and grouping
+    into the top-k of their union.  The IVF scan merges every block
+    here, and the serving layer merges its delta scan the same way.
+    Unfilled slots hold a ``-inf`` score and are never reported.
+    """
+
+    def __init__(self, n_rows: int, k: int) -> None:
+        self.k = k
+        self.scores = np.full((n_rows, k), -np.inf)
+        self.ids = np.full((n_rows, k), np.iinfo(np.int64).max, dtype=np.int64)
+        #: Candidates merged per row so far (reported: ``min(found, k)``).
+        self.found = np.zeros(n_rows, dtype=np.int64)
+
+    @classmethod
+    def of(cls, candidates: CandidateSet, k: int) -> "TopK":
+        """A buffer holding ``candidates`` (no row longer than ``k``)."""
+        top = cls(candidates.n_sources, k)
+        counts = candidates.row_counts
+        filled = np.arange(k) < counts[:, None]
+        top.scores[filled] = candidates.scores
+        top.ids[filled] = candidates.indices
+        top.found = counts.copy()
+        return top
+
+    def merge(self, rows, scores: np.ndarray, ids: np.ndarray) -> None:
+        """Merge ``scores[i, j]``, the score of id ``ids[j]`` for row
+        ``rows[i]`` (an index array of distinct rows, or a slice)."""
+        k = self.k
+        pool_scores = np.concatenate([self.scores[rows], scores], axis=1)
+        pool_ids = np.concatenate(
+            [self.ids[rows], np.broadcast_to(ids, scores.shape)], axis=1
+        )
+        cut = pool_scores.shape[1] - k
+        keep = pool_scores >= np.partition(pool_scores, cut, axis=1)[:, cut, None]
+        # More than k candidates at or above the k-th score: a tie at the
+        # cut (or under k candidates).  Select exactly, ties by id.
+        tied = np.flatnonzero(keep.sum(axis=1) > k)
+        if len(tied):
+            exact = np.lexsort((pool_ids[tied], -pool_scores[tied]), axis=1)
+            keep[tied] = False
+            keep[tied[:, None], exact[:, :k]] = True
+        self.scores[rows] = pool_scores[keep].reshape(-1, k)
+        self.ids[rows] = pool_ids[keep].reshape(-1, k)
+        self.found[rows] += scores.shape[1]
+
+    def candidates(self, n_targets: int) -> CandidateSet:
+        """The buffer as a best-first :class:`CandidateSet`."""
+        order = np.lexsort((self.ids, -self.scores), axis=1)
+        counts = np.minimum(self.found, self.k)
+        filled = np.arange(self.k) < counts[:, None]
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        return CandidateSet(
+            indptr,
+            np.take_along_axis(self.ids, order, axis=1)[filled],
+            np.take_along_axis(self.scores, order, axis=1)[filled],
+            n_targets,
         )

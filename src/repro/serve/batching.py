@@ -8,7 +8,7 @@ that drains whatever is queued (up to ``max_batch``, waiting at most
 one handler call; each caller blocks on a future for its own slice.
 
 Correctness note: coalescing is *safe* to expose because the serving
-scorer is pair-stable (:func:`~repro.similarity.metrics.rowwise_scores`)
+scorer is pair-stable (:func:`~repro.similarity.metrics.prepare_stable_metric`)
 — a query's scores do not depend on which other queries share the
 batch, so batched and unbatched responses are bitwise identical.  The
 concurrency suite pins exactly that.

@@ -57,6 +57,11 @@ from repro.utils.memory import peak_rss_bytes
 #: dense probe x probe matrix; this bounds it to ~EXPLAIN_LIMIT^2 pairs).
 EXPLAIN_LIMIT = 64
 
+#: Cap on a request body, bytes.  A larger ``Content-Length`` gets 413
+#: before any of the body is read (a query batch of a thousand 300-dim
+#: vectors is about 6 MiB of JSON).
+MAX_BODY_BYTES = 16 * 2**20
+
 #: Default slow-query threshold, seconds: requests over it emit a
 #: ``serve.slow`` event carrying their captured span tree.
 SLOW_THRESHOLD = 0.1
@@ -375,6 +380,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
+        if length < 0 or length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot be reused.
+            self.close_connection = True
+            if length < 0:
+                raise ServeError(400, f"negative Content-Length {length}")
+            raise ServeError(
+                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ServeError(400, "request body is empty")

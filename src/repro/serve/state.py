@@ -7,15 +7,15 @@ vectors would return — after any sequence of inserts, deletes, and
 compactions.  Three ingredients make that bitwise-provable:
 
 1. **Pair-stable scoring.**  Every path scores a (query, vector) pair
-   with :func:`~repro.similarity.metrics.rowwise_scores`, whose value
-   depends on that pair alone — never on batch shape or which other
-   vectors share the scan.  (The BLAS kernels do not have this property;
-   see the function's docstring.)
-2. **A total tie order.**  All top-k selections — the inverted-list
-   scan, the delta scan, and the final merge — break score ties by
-   ascending index position.  Top-k of a union of per-part top-ks under
-   a total order equals the global top-k, so merging the index part and
-   the delta part loses nothing.
+   with :func:`~repro.similarity.metrics.prepare_stable_metric`, whose
+   value depends on that pair alone — never on batch shape or which
+   other vectors share the scan.  (The BLAS kernels do not have this
+   property; see the function's docstring.)
+2. **A total tie order.**  One selection,
+   :class:`~repro.index.candidates.TopK`, serves the inverted-list scan
+   and the delta merge, and it breaks score ties by ascending index
+   position.  Top-k of a union of blocks under a total order equals the
+   global top-k, so merging the delta into the index part loses nothing.
 3. **Order-preserving compaction.**  Re-clustering renumbers positions
    but preserves their relative order, so the tie order (and therefore
    every result) is unchanged.
@@ -37,12 +37,13 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.index.candidates import TopK
 from repro.index.ivf import IVFIndex
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.serve import context as serve_context
-from repro.similarity.metrics import rowwise_scores
+from repro.similarity.metrics import prepare_stable_metric
 from repro.storage.memmap import EmbeddingStore
 
 
@@ -215,29 +216,22 @@ class ServingState:
         ), obs_trace.span(
             "serve.query", queries=vectors.shape[0], k=k, delta=len(delta)
         ):
-            base = index.search(
+            found = index.search(
                 vectors, k, nprobe=nprobe, exclude=snap.delta_mask, stable=True
             )
-            delta_vectors = index.reconstruct(delta) if len(delta) else None
-            results: list[QueryResult] = []
-            for row in range(vectors.shape[0]):
-                ids, scores = base.row(row)
-                if delta_vectors is not None:
-                    d_scores = rowwise_scores(
-                        index.metric, vectors[row], delta_vectors
-                    )
-                    keep = np.lexsort((delta, -d_scores))[:k]
-                    ids = np.concatenate([ids, delta[keep]])
-                    scores = np.concatenate([scores, d_scores[keep]])
-                    order = np.lexsort((ids, -scores))[:k]
-                    ids, scores = ids[order], scores[order]
-                results.append(
-                    QueryResult(
-                        entity_ids=snap.pos_ids[ids],
-                        scores=scores,
-                        version=snap.version,
-                    )
+            if len(delta):
+                top = TopK.of(found, min(k, index.ntotal))
+                kernel = prepare_stable_metric(
+                    index.metric, vectors, index.reconstruct(delta)
                 )
+                top.merge(slice(None), kernel(slice(None)), delta)
+                found = top.candidates(index.ntotal)
+            results = [
+                QueryResult(
+                    entity_ids=snap.pos_ids[ids], scores=scores, version=snap.version
+                )
+                for ids, scores in map(found.row, range(vectors.shape[0]))
+            ]
         registry.inc("serve.queries", vectors.shape[0])
         return results
 

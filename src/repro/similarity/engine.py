@@ -53,7 +53,7 @@ from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.similarity.chunked import chunked_csls_top_k, chunked_top_k
-from repro.similarity.metrics import prepare_metric, rowwise_scores
+from repro.similarity.metrics import prepare_metric
 from repro.similarity.sharded import (
     PROCESS_MIN_ELEMS,
     process_sharded_similarity,
@@ -550,55 +550,6 @@ class SimilarityEngine:
                 source, target, k, metric=metric, chunk_size=chunk_size
             )
         return CandidateSet.from_topk(indices, scores, n_targets=n_target)
-
-    def rowwise_top_k(
-        self,
-        queries: np.ndarray,
-        targets: np.ndarray,
-        k: int,
-        metric: str = "cosine",
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-row *pair-stable* top-``k`` — the serving layer's scorer.
-
-        Each query row is scored against ``targets`` with
-        :func:`~repro.similarity.metrics.rowwise_scores` (elementwise
-        kernels, no BLAS matmul), so every (query, target) score is a
-        pure function of the two vectors: results are bitwise-identical
-        whether a row arrives alone or coalesced into a batch, and
-        whichever subset of targets shares the call.  Ties are broken by
-        ascending target position.  Rows are independent, so they fan
-        out across the engine's thread pool; nothing is cached (serving
-        targets mutate between calls, so matrix reuse is the caller's
-        snapshot-layer concern).
-
-        Returns one ``(ids, scores)`` pair per query row, best-first.
-        This deliberately does *not* share the BLAS block kernels of
-        :meth:`top_k`: their summation order varies with block shape,
-        which would break the serving determinism contract
-        (DESIGN.md §12).
-        """
-        queries = check_embedding_matrix(queries, "queries")
-        targets = check_embedding_matrix(targets, "targets")
-        check_shape_compatible(queries, targets)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        k = min(k, targets.shape[0])
-
-        def work(row: int) -> tuple[np.ndarray, np.ndarray]:
-            scores = rowwise_scores(metric, queries[row], targets)
-            order = np.lexsort((np.arange(len(scores)), -scores))[:k]
-            return order.astype(np.int64), scores[order]
-
-        with obs_trace.span(
-            "engine.rowwise_topk",
-            metric=metric,
-            rows=queries.shape[0],
-            cols=targets.shape[0],
-            k=k,
-        ):
-            return map_chunks(
-                work, range(queries.shape[0]), self.workers, self._executor()
-            )
 
     def csls_top_k(
         self,

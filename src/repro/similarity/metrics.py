@@ -13,6 +13,8 @@ blocks, serially or across threads.  Preparation is row-independent, so
 a block's values do not depend on how the rows were chunked — except for
 the BLAS matmul inside the cosine/euclidean kernels, whose summation
 order may vary with the block height (documented on the engine).
+:func:`prepare_stable_metric` is the matmul-free counterpart whose every
+value depends on its (source, target) pair alone.
 
 Kernels preserve the floating dtype of their inputs: the public API
 validates to float64 (exactly the historical behaviour), while the
@@ -67,26 +69,6 @@ def _prepare_euclidean(source: np.ndarray, target: np.ndarray) -> BlockKernel:
     return block
 
 
-def _prepare_manhattan(
-    source: np.ndarray, target: np.ndarray, chunk_elems: int
-) -> BlockKernel:
-    n_target, dim = target.shape[0], target.shape[1]
-    # L1 has no matmul shortcut; bound the (rows x n_target x dim)
-    # broadcast intermediate to ~chunk_elems elements per inner step.
-    inner_rows = rows_per_chunk(n_target * dim, chunk_elems)
-
-    def block(rows: slice) -> np.ndarray:
-        sub = source[rows]
-        result = np.empty((sub.shape[0], n_target), dtype=sub.dtype)
-        for start in range(0, sub.shape[0], inner_rows):
-            stop = min(start + inner_rows, sub.shape[0])
-            diffs = np.abs(sub[start:stop, None, :] - target[None, :, :])
-            result[start:stop] = -diffs.sum(axis=2)
-        return result
-
-    return block
-
-
 def prepare_metric(
     metric: str,
     source: np.ndarray,
@@ -105,7 +87,8 @@ def prepare_metric(
     if metric == "euclidean":
         return _prepare_euclidean(source, target)
     if metric == "manhattan":
-        return _prepare_manhattan(source, target, chunk_elems)
+        # L1 has no matmul shortcut, so its kernel is the pair-stable one.
+        return prepare_stable_metric(metric, source, target, chunk_elems)
     known = ", ".join(sorted(SIMILARITY_METRICS))
     raise ValueError(f"unknown similarity metric {metric!r}; known metrics: {known}")
 
@@ -147,45 +130,60 @@ def manhattan_similarity(
     return _full("manhattan", source, target, chunk_elems=chunk_elems)
 
 
-def rowwise_scores(
-    metric: str, query: np.ndarray, targets: np.ndarray
-) -> np.ndarray:
-    """Scores of one ``query`` vector against ``targets`` rows, *pair-stable*.
+def prepare_stable_metric(
+    metric: str,
+    source: np.ndarray,
+    target: np.ndarray,
+    chunk_elems: int = DEFAULT_CHUNK_ELEMS,
+) -> BlockKernel:
+    """The *pair-stable* counterpart of :func:`prepare_metric`.
 
-    Every output value is a pure function of ``(query, targets[j])``
-    alone: the kernels use elementwise multiply/subtract plus a per-row
-    reduction, never a BLAS matmul — so the score of a pair does not
-    change with how many other queries were batched alongside or which
-    other targets happen to share the call.  This is the determinism
-    foundation of the serving layer (DESIGN.md §12): batched requests,
-    single requests, inverted-list scans, and a from-scratch index
-    rebuild all produce bitwise-identical scores for the same pair.
-
-    The BLAS kernels in :func:`prepare_metric` do *not* have this
-    property (summation order varies with the block shape), which is why
-    the serving path cannot reuse them for its equality contracts.
-    ``query`` is a 1-D vector; ``targets`` is ``(n, dim)``.  Matches the
-    sign convention of the full-matrix metrics (larger = closer).
+    Every value of a block is a pure function of its ``(source[i],
+    target[j])`` pair: elementwise multiply or subtract plus a reduction
+    over the pair's ``dim`` values, never a BLAS matmul, whose summation
+    order varies with the block shape.  So a pair scores bitwise the
+    same whichever queries share the block and whichever targets share
+    the call — the determinism base of the serving layer (DESIGN.md
+    §12).  ``chunk_elems`` bounds the ``rows x n_target x dim``
+    intermediate.
     """
-    query = np.asarray(query, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if query.ndim != 1:
-        raise ValueError(f"query must be 1-D, got shape {query.shape}")
-    if targets.ndim != 2 or targets.shape[1] != query.shape[0]:
-        raise ValueError(
-            f"targets must be (n, {query.shape[0]}), got shape {targets.shape}"
-        )
     if metric == "cosine":
-        q = query / max(float(np.linalg.norm(query)), _EPS)
-        norms = np.maximum(np.linalg.norm(targets, axis=1, keepdims=True), _EPS)
-        return ((targets / norms) * q).sum(axis=1)
-    if metric == "euclidean":
-        squared = ((targets - query) ** 2).sum(axis=1)
-        return -np.sqrt(np.maximum(squared, 0.0))
-    if metric == "manhattan":
-        return -np.abs(targets - query).sum(axis=1)
-    known = ", ".join(sorted(SIMILARITY_METRICS))
-    raise ValueError(f"unknown similarity metric {metric!r}; known metrics: {known}")
+        # Each source row is scaled by its 1-D norm (a dot product): the
+        # batched ``axis=1`` norm can differ from it in the last bit.
+        norms = np.array([np.linalg.norm(row) for row in source])
+        source = source / np.maximum(norms, _EPS)[:, None]
+        target = _normalize_rows(target)
+
+        def pairs(sub: np.ndarray) -> np.ndarray:
+            return (target[None, :, :] * sub[:, None, :]).sum(axis=2)
+
+    elif metric == "euclidean":
+
+        def pairs(sub: np.ndarray) -> np.ndarray:
+            squared = ((target[None, :, :] - sub[:, None, :]) ** 2).sum(axis=2)
+            return -np.sqrt(np.maximum(squared, 0.0))
+
+    elif metric == "manhattan":
+
+        def pairs(sub: np.ndarray) -> np.ndarray:
+            return -np.abs(target[None, :, :] - sub[:, None, :]).sum(axis=2)
+
+    else:
+        known = ", ".join(sorted(SIMILARITY_METRICS))
+        raise ValueError(
+            f"unknown similarity metric {metric!r}; known metrics: {known}"
+        )
+    inner_rows = rows_per_chunk(target.shape[0] * target.shape[1], chunk_elems)
+
+    def block(rows: slice) -> np.ndarray:
+        sub = source[rows]
+        result = np.empty((sub.shape[0], target.shape[0]), dtype=sub.dtype)
+        for start in range(0, sub.shape[0], inner_rows):
+            stop = min(start + inner_rows, sub.shape[0])
+            result[start:stop] = pairs(sub[start:stop])
+        return result
+
+    return block
 
 
 #: Registry used by :func:`similarity_matrix` and the experiment configs.

@@ -6,6 +6,7 @@ import pytest
 from repro.eval.analysis import top_k_std
 from repro.eval.metrics import ranking_diagnostics
 from repro.index import CandidateSet
+from repro.index.candidates import TopK
 from repro.obs.metrics import get_metrics
 from repro.similarity.topk import top_k_indices
 
@@ -58,6 +59,44 @@ class TestConstruction:
             CandidateSet(
                 np.array([0, 2]), np.array([0, 1]), np.array([1.0]), n_targets=3
             )
+
+
+class TestTopK:
+    def oracle(self, scores, ids, k):
+        order = np.lexsort((np.broadcast_to(ids, scores.shape), -scores), axis=1)
+        return np.take_along_axis(np.broadcast_to(ids, scores.shape), order, axis=1)[:, :k]
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_blocks_merge_to_the_total_order_top_k(self, rng, k):
+        # Coarse scores force ties, also at the cut; ids are shuffled so
+        # column order and id order disagree.
+        scores = rng.integers(0, 4, size=(9, 20)).astype(np.float64)
+        ids = rng.permutation(20)
+        top = TopK(9, k)
+        for block in np.array_split(np.arange(20), 4):
+            top.merge(np.arange(9), scores[:, block], ids[block])
+        found = top.candidates(n_targets=20)
+        expected = self.oracle(scores, ids, k)
+        np.testing.assert_array_equal(found.indices.reshape(9, k), expected)
+        assert (np.diff(found.scores.reshape(9, k), axis=1) <= 0).all()
+
+    def test_short_rows_report_what_was_found(self):
+        top = TopK(3, 4)
+        top.merge(np.array([0, 2]), np.array([[0.5, 0.9], [0.1, 0.1]]), np.array([6, 2]))
+        top.merge(np.array([2]), np.array([[0.3]]), np.array([0]))
+        found = top.candidates(n_targets=7)
+        np.testing.assert_array_equal(found.row_counts, [2, 0, 3])
+        np.testing.assert_array_equal(found.row(0)[0], [2, 6])
+        np.testing.assert_array_equal(found.row(2)[0], [0, 2, 6])
+
+    def test_of_round_trips_a_candidate_set(self):
+        rows = [(np.array([4, 1]), np.array([0.2, 0.8])), (np.array([0]), np.array([0.5]))]
+        cands = CandidateSet.from_rows(rows, n_targets=5)
+        top = TopK.of(cands, 3)
+        top.merge(slice(None), np.array([[0.8], [0.1]]), np.array([3]))
+        found = top.candidates(n_targets=5)
+        np.testing.assert_array_equal(found.row(0)[0], [1, 3, 4])
+        np.testing.assert_array_equal(found.row(1)[0], [0, 3])
 
 
 class TestQueries:

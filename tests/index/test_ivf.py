@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.errors import DataIntegrityError
 from repro.index import IVF_FORMAT, IVF_VERSION, IVFIndex
 from repro.obs.metrics import get_metrics
 from repro.similarity.chunked import chunked_top_k
@@ -135,6 +136,32 @@ class TestPersistence:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "not-an-index"}), encoding="utf-8")
         with pytest.raises(ValueError, match=IVF_FORMAT):
+            IVFIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["assignments"].pop(), "assignments for"),
+            (lambda doc: doc["assignments"].__setitem__(0, 2), "outside"),
+            (lambda doc: doc["assignments"].__setitem__(0, -1), "outside"),
+            (lambda doc: [row.pop() for row in doc["centroids"]], "centroids"),
+            (lambda doc: doc["center"].append(0.0), "center"),
+        ],
+        ids=["assignments-length", "assignment-high", "assignment-low", "centroid-dim",
+             "center-dim"],
+    )
+    def test_load_rejects_inconsistent_unverified_document(
+        self, rng, tmp_path, edit, message
+    ):
+        # A document without a checksum loads unverified; its shapes are
+        # still checked, so an edit cannot hide a vector from every list.
+        vectors = rng.normal(size=(10, 4))
+        path = IVFIndex(n_clusters=2).train(vectors).add(vectors).save(tmp_path / "i.json")
+        document = json.loads(path.read_text(encoding="utf-8"))
+        del document["checksum"]
+        edit(document)
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(DataIntegrityError, match=message):
             IVFIndex.load(path)
 
     def test_load_rejects_future_version(self, rng, tmp_path):

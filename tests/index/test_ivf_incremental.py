@@ -112,13 +112,17 @@ class TestStableSearch:
     def test_stable_is_batch_invariant(self, built, rng):
         index, _ = built
         queries = rng.normal(size=(5, 6))
-        batched = index.search(queries, k=5, nprobe=index.n_clusters, stable=True)
-        for row in range(5):
-            single = index.search(
-                queries[row : row + 1], k=5, nprobe=index.n_clusters, stable=True
-            )
-            np.testing.assert_array_equal(single.row(0)[0], batched.row(row)[0])
-            np.testing.assert_array_equal(single.row(0)[1], batched.row(row)[1])
+        # Full probe width (one block) and partial (a block per probe
+        # group, most rows in several): a row's result never depends on
+        # the batch it arrives in.
+        for nprobe in (index.n_clusters, 2):
+            batched = index.search(queries, k=5, nprobe=nprobe, stable=True)
+            for row in range(5):
+                single = index.search(
+                    queries[row : row + 1], k=5, nprobe=nprobe, stable=True
+                )
+                np.testing.assert_array_equal(single.row(0)[0], batched.row(row)[0])
+                np.testing.assert_array_equal(single.row(0)[1], batched.row(row)[1])
 
     def test_stable_ties_break_by_ascending_position(self):
         # Four identical vectors: every score ties; order must be 0,1,2.
@@ -126,6 +130,22 @@ class TestStableSearch:
         index = IVFIndex(n_clusters=1).train(vectors).add(vectors)
         found = index.search(np.ones((1, 3)), k=3, nprobe=1, stable=True)
         np.testing.assert_array_equal(found.row(0)[0], [0, 1, 2])
+        # k past the population returns everything, still position order.
+        found = index.search(np.ones((2, 3)), k=10, nprobe=1, stable=True)
+        np.testing.assert_array_equal(found.row(1)[0], [0, 1, 2, 3])
+        # Power-of-two multiples of one vector normalise to the same row,
+        # so their cosine scores tie exactly, yet they sit in different
+        # inverted lists: the scanned block's members are not in
+        # position order, and the tie must still resolve by position.
+        rng = np.random.default_rng(5)
+        vectors = rng.normal(size=(60, 4))
+        tied = [3, 7, 19, 33, 48, 52]
+        vectors[tied] = vectors[3] * np.array([1, 8, 0.125, 4, 0.25, 2])[:, None]
+        index = IVFIndex(n_clusters=6).train(vectors).add(vectors)
+        assert len(set(index._assignments[tied])) > 2
+        for k in (1, 2, 4):
+            found = index.search(vectors[3:4], k=k, nprobe=6, stable=True)
+            np.testing.assert_array_equal(found.row(0)[0], tied[:k])
 
 
 class TestTombstonePersistence:

@@ -56,9 +56,9 @@ def state(tmp_path):
 
 def brute_force(query, vectors, k):
     """Ground truth under the serving total order (-score, position)."""
-    from repro.similarity.metrics import rowwise_scores
+    from repro.similarity.metrics import prepare_stable_metric
 
-    scores = rowwise_scores("cosine", query, vectors)
+    scores = prepare_stable_metric("cosine", query[None, :], vectors)(slice(None))[0]
     order = np.lexsort((np.arange(len(scores)), -scores))[: min(k, len(scores))]
     return order, scores[order]
 

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 from pathlib import Path
 
 import pytest
+
+from repro.serve.http import MAX_BODY_BYTES
 
 from .conftest import Daemon
 
@@ -100,6 +103,24 @@ class TestGoldenResponses:
         assert post(daemon, "/delete", {"entity_id": "x"})[0] == 400
         status, body = daemon.request("POST", "/query", b"not json")
         assert status == 400
+        # A bad Content-Length is answered before any body is read: a
+        # negative one would otherwise block the handler in read(-1).
+        for content_length, want in (
+            ("-1", 400), (str(MAX_BODY_BYTES + 1), 413), ("12abc", 400)
+        ):
+            assert raw_status(daemon, content_length) == want
+        assert daemon.request("GET", "/healthz")[0] == 200
+
+
+def raw_status(daemon, content_length: str) -> int:
+    """Status of a raw POST whose Content-Length header is sent verbatim."""
+    with socket.create_connection(("127.0.0.1", daemon.port), timeout=10) as sock:
+        sock.sendall(
+            f"POST /query HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode("ascii")
+        )
+        status_line = sock.makefile("rb").readline()
+    return int(status_line.split()[1])
 
 
 class TestKillAndRestart:
