@@ -317,9 +317,13 @@ class TopK:
         top.found = counts.copy()
         return top
 
-    def merge(self, rows, scores: np.ndarray, ids: np.ndarray) -> None:
-        """Merge ``scores[i, j]``, the score of id ``ids[j]`` for row
-        ``rows[i]`` (an index array of distinct rows, or a slice)."""
+    def merge(
+        self, rows, scores: np.ndarray, ids: np.ndarray, found: int | None = None
+    ) -> None:
+        """Merge ``scores[i, j]``, the score of id ``ids[j]`` (or
+        ``ids[i, j]``) for row ``rows[i]`` (an index array of distinct
+        rows, or a slice).  ``found`` is the candidates each row scanned,
+        by default the block width."""
         k = self.k
         pool_scores = np.concatenate([self.scores[rows], scores], axis=1)
         pool_ids = np.concatenate(
@@ -336,7 +340,28 @@ class TopK:
             keep[tied[:, None], exact[:, :k]] = True
         self.scores[rows] = pool_scores[keep].reshape(-1, k)
         self.ids[rows] = pool_ids[keep].reshape(-1, k)
-        self.found[rows] += scores.shape[1]
+        self.found[rows] += scores.shape[1] if found is None else found
+
+    def merge_ragged(
+        self,
+        rows: np.ndarray,
+        pair_rows: np.ndarray,
+        ids: np.ndarray,
+        scores: np.ndarray,
+        found: int,
+    ) -> None:
+        """Merge per-row candidate lists of varying length: ``scores[p]``
+        is the score of ``ids[p]`` for row ``rows[pair_rows[p]]``, with
+        ``pair_rows`` ascending.  Short rows are padded with unfilled
+        (``-inf``) slots, which ``found`` keeps from being reported."""
+        counts = np.bincount(pair_rows, minlength=len(rows))
+        width = int(counts.max()) if len(rows) else 0
+        slots = np.arange(len(pair_rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        block_scores = np.full((len(rows), width), -np.inf)
+        block_ids = np.full((len(rows), width), np.iinfo(np.int64).max, dtype=np.int64)
+        block_scores[pair_rows, slots] = scores
+        block_ids[pair_rows, slots] = ids
+        self.merge(rows, block_scores, block_ids, found=found)
 
     def candidates(self, n_targets: int) -> CandidateSet:
         """The buffer as a best-first :class:`CandidateSet`."""

@@ -176,13 +176,16 @@ class MicroBatcher:
 
     def _dispatch(self, batch: list) -> None:
         flushed_at = time.monotonic()
-        vectors = np.stack([item[0] for item in batch])
         ks = [item[1] for item in batch]
         futures = [item[2] for item in batch]
         wait_seconds = flushed_at - min(item[3] for item in batch)
         wait_ms = wait_seconds * 1e3
         contexts = [item[4] for item in batch if item[4] is not None]
+        # Everything that can fail sits inside the try: an exception that
+        # escaped here would kill the dispatcher thread and leave every
+        # later submit waiting forever.
         try:
+            vectors = np.stack([item[0] for item in batch])
             with serve_context.batch_scope(contexts):
                 with serve_context.traced(
                     "serve.batch", size=len(batch), wait_ms=round(wait_ms, 3)

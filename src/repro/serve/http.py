@@ -74,6 +74,16 @@ def canonical_json(payload: Any) -> bytes:
     )
 
 
+def _is_integer(value: Any) -> bool:
+    """A JSON integer: ``true``/``false`` decode to Python bools, which
+    are ints, and must not pass as 1/0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, float) or _is_integer(value)
+
+
 class ServeError(Exception):
     """An HTTP-mappable request failure."""
 
@@ -182,7 +192,7 @@ class AlignmentServer(ThreadingHTTPServer):
 
     def handle_query(self, body: dict) -> dict:
         k = body.get("k", 5)
-        if not isinstance(k, int) or k < 1:
+        if not _is_integer(k) or k < 1:
             raise ServeError(400, f"k must be a positive integer, got {k!r}")
         vector = self._request_vector(body)
         result = self.batcher.submit(vector, k)
@@ -202,11 +212,11 @@ class AlignmentServer(ThreadingHTTPServer):
         if not isinstance(vector, list):
             raise ServeError(400, "insert body must carry a 'vector' list")
         entity_id = body.get("entity_id")
-        if entity_id is not None and not isinstance(entity_id, int):
+        if entity_id is not None and not _is_integer(entity_id):
             raise ServeError(400, "entity_id must be an integer")
         try:
             assigned = self.state.insert(
-                np.asarray(vector, dtype=np.float64), entity_id=entity_id
+                self._checked_vector(vector), entity_id=entity_id
             )
         except ValueError as error:
             status = 507 if "full" in str(error) else 400
@@ -215,7 +225,7 @@ class AlignmentServer(ThreadingHTTPServer):
 
     def handle_delete(self, body: dict) -> dict:
         entity_id = body.get("entity_id")
-        if not isinstance(entity_id, int):
+        if not _is_integer(entity_id):
             raise ServeError(400, "delete body must carry an integer 'entity_id'")
         deleted = self.state.delete(entity_id)
         return {
@@ -302,16 +312,33 @@ class AlignmentServer(ThreadingHTTPServer):
         registry.gauge("serve.slo.breaching", 1.0 if slo["breaching"] else 0.0)
         return obs_exposition.render(registry)
 
+    def _checked_vector(self, vector: list) -> np.ndarray:
+        """A request's vector, answered with 400 unless it is ``dim``
+        finite numbers: a malformed one must never reach a batch."""
+        dim = self.state.snapshot.index.dim
+        if len(vector) != dim or not all(map(_is_number, vector)):
+            raise ServeError(400, f"'vector' must be a list of {dim} numbers")
+        try:
+            array = np.asarray(vector, dtype=np.float64)
+            finite = bool(np.isfinite(array).all())
+        except OverflowError:  # a JSON integer beyond the float range
+            finite = False
+        if not finite:
+            raise ServeError(400, "'vector' must hold finite numbers only")
+        return array
+
     def _request_vector(self, body: dict) -> np.ndarray:
         vector = body.get("vector")
         if vector is not None:
             if not isinstance(vector, list):
                 raise ServeError(400, "'vector' must be a JSON list of numbers")
-            return np.asarray(vector, dtype=np.float64)
+            return self._checked_vector(vector)
         entity_id = body.get("entity_id")
         if entity_id is None:
             raise ServeError(400, "query body must carry 'vector' or 'entity_id'")
-        stored = self.state.get_vector(int(entity_id))
+        if not _is_integer(entity_id):
+            raise ServeError(400, "'entity_id' must be an integer")
+        stored = self.state.get_vector(entity_id)
         if stored is None:
             raise ServeError(404, f"entity {entity_id} is not live")
         return stored

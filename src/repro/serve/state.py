@@ -7,10 +7,13 @@ vectors would return — after any sequence of inserts, deletes, and
 compactions.  Three ingredients make that bitwise-provable:
 
 1. **Pair-stable scoring.**  Every path scores a (query, vector) pair
-   with :func:`~repro.similarity.metrics.prepare_stable_metric`, whose
-   value depends on that pair alone — never on batch shape or which
-   other vectors share the scan.  (The BLAS kernels do not have this
-   property; see the function's docstring.)
+   with the pair-stable formula of
+   :func:`~repro.similarity.metrics.prepare_stable_metric`, whose value
+   depends on that pair alone — never on batch shape or which other
+   vectors share the scan.  (The BLAS kernels do not have this
+   property; the cosine index scan uses BLAS only to pick which pairs
+   to rescore, see :meth:`IVFIndex.search`.)  The delta merge reads
+   the index's stored unit rows (:meth:`IVFIndex.stable_scores`).
 2. **A total tie order.**  One selection,
    :class:`~repro.index.candidates.TopK`, serves the inverted-list scan
    and the delta merge, and it breaks score ties by ascending index
@@ -43,7 +46,6 @@ from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.serve import context as serve_context
-from repro.similarity.metrics import prepare_stable_metric
 from repro.storage.memmap import EmbeddingStore
 
 
@@ -221,10 +223,7 @@ class ServingState:
             )
             if len(delta):
                 top = TopK.of(found, min(k, index.ntotal))
-                kernel = prepare_stable_metric(
-                    index.metric, vectors, index.reconstruct(delta)
-                )
-                top.merge(slice(None), kernel(slice(None)), delta)
+                top.merge(slice(None), index.stable_scores(vectors, delta), delta)
                 found = top.candidates(index.ntotal)
             results = [
                 QueryResult(

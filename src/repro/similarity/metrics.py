@@ -36,15 +36,37 @@ _EPS = 1e-12
 BlockKernel = Callable[[slice], np.ndarray]
 
 
-def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit L2 norm; zero rows are left at zero."""
+def normalize_rows(matrix: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit L2 norm; zero rows are left at zero.
+
+    On a C-contiguous matrix each row's value depends on that row alone,
+    so normalising all rows once equals normalising any gathered subset.
+    """
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     return matrix / np.maximum(norms, _EPS)
 
 
+def normalize_each_row(matrix: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit L2 norm, each by its own 1-D norm (a dot
+    product): the pair-stable kernel's query normalisation.  The batched
+    ``axis=1`` norm of :func:`normalize_rows` can differ from it in the
+    last bit."""
+    norms = np.array([np.linalg.norm(row) for row in matrix])
+    return matrix / np.maximum(norms, _EPS)[:, None]
+
+
+def pair_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis of two broadcastable arrays.
+
+    An elementwise multiply plus a reduction over each pair's own
+    ``dim`` values, never a BLAS matmul: the pair-stable cosine formula.
+    """
+    return (left * right).sum(axis=-1)
+
+
 def _prepare_cosine(source: np.ndarray, target: np.ndarray) -> BlockKernel:
-    normalized_source = _normalize_rows(source)
-    normalized_target_t = _normalize_rows(target).T
+    normalized_source = normalize_rows(source)
+    normalized_target_t = normalize_rows(target).T
 
     def block(rows: slice) -> np.ndarray:
         return normalized_source[rows] @ normalized_target_t
@@ -148,14 +170,11 @@ def prepare_stable_metric(
     intermediate.
     """
     if metric == "cosine":
-        # Each source row is scaled by its 1-D norm (a dot product): the
-        # batched ``axis=1`` norm can differ from it in the last bit.
-        norms = np.array([np.linalg.norm(row) for row in source])
-        source = source / np.maximum(norms, _EPS)[:, None]
-        target = _normalize_rows(target)
+        source = normalize_each_row(source)
+        target = normalize_rows(target)
 
         def pairs(sub: np.ndarray) -> np.ndarray:
-            return (target[None, :, :] * sub[:, None, :]).sum(axis=2)
+            return pair_dots(target[None, :, :], sub[:, None, :])
 
     elif metric == "euclidean":
 

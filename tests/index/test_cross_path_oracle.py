@@ -114,3 +114,91 @@ def test_path_matches_oracle(path, metric, seed, tmp_path):
         if kth - after > 1e-9:
             assert set(ids) == set(want_ids[row, :K])
         np.testing.assert_allclose(scores, want_scores[row, :K], atol=1e-9)
+
+
+# -- the certified cosine scan -----------------------------------------
+#
+# ``search(stable=True)`` on cosine scores every probed pair with BLAS
+# and rescores pair-stably only the pairs within a rounding bound of
+# each row's k-th BLAS score.  These inputs aim at that bound: exact
+# duplicates, near-ties that BLAS and the pair-stable formula order
+# differently at the cut, zero rows, and blocks holding fewer than k
+# live members.
+
+CERTIFIED_CASES = ("duplicates", "near-ties", "zero-rows", "sparse-blocks")
+CERTIFIED_DIM = 32
+CERTIFIED_TARGETS = 120
+
+
+def certified_inputs(case, batch):
+    """``(queries, targets, dead positions, exclude mask, k)`` for a case."""
+    rng = np.random.default_rng(CERTIFIED_CASES.index(case))
+    targets = rng.normal(size=(CERTIFIED_TARGETS, CERTIFIED_DIM))
+    queries = rng.normal(size=(batch, CERTIFIED_DIM))
+    dead = rng.choice(CERTIFIED_TARGETS, 10, replace=False)
+    exclude = rng.random(CERTIFIED_TARGETS) < 0.1
+    k = K
+    base = targets[0].copy()
+    if case == "duplicates":
+        targets[::3] = base
+        queries[::2] = base
+    elif case == "near-ties":
+        # Copies of one vector a few ulps apart in every coordinate.
+        targets[::2] = base + rng.integers(-4, 5, size=(60, CERTIFIED_DIM)) * np.spacing(base)
+        queries = base + 1e-3 * rng.normal(size=(batch, CERTIFIED_DIM))
+        queries[0] = base
+    elif case == "zero-rows":
+        targets[::4] = 0.0
+        queries[-1] = 0.0
+    else:  # sparse-blocks: k exceeds the live members of every block
+        dead = np.flatnonzero(np.arange(CERTIFIED_TARGETS) % 6 != 0)
+        k = 30
+    return queries, targets, dead, exclude, k
+
+
+def certified_oracle(index, queries, nprobe, exclude, k):
+    """Per row: the pair-stable top ``k`` of the positions the probe
+    scans, under ``(-score, position asc)``.  The scanned set comes from
+    a BLAS search asked for every candidate."""
+    scanned = index.search(queries, index.ntotal, nprobe=nprobe, exclude=exclude)
+    rows = []
+    for row, query in enumerate(queries):
+        positions = np.sort(scanned.row(row)[0])
+        scores = prepare_stable_metric(
+            "cosine", query[None, :], index.reconstruct(positions)
+        )(slice(None))[0]
+        order = np.lexsort((positions, -scores))[:k]
+        rows.append((positions[order], scores[order]))
+    return rows
+
+
+def test_near_tie_inputs_reorder_under_blas():
+    """The near-tie case really puts BLAS and pair-stable at odds."""
+    queries, targets, _, _, k = certified_inputs("near-ties", 64)
+    blas = similarity_matrix(queries, targets)
+    stable = prepare_stable_metric("cosine", queries, targets)(slice(None))
+    positions = np.arange(CERTIFIED_TARGETS)
+    differs = [
+        set(np.lexsort((positions, -blas[row]))[:k])
+        != set(np.lexsort((positions, -stable[row]))[:k])
+        for row in range(len(queries))
+    ]
+    assert any(differs)
+
+
+@pytest.mark.parametrize("nprobe", [CLUSTERS, 2])
+@pytest.mark.parametrize("batch", [1, 2, 17, 64])
+@pytest.mark.parametrize("case", CERTIFIED_CASES)
+def test_certified_scan_matches_oracle(case, batch, nprobe):
+    queries, targets, dead, exclude, k = certified_inputs(case, batch)
+    index = IVFIndex(n_clusters=CLUSTERS).train(targets).add(targets)
+    for position in dead:
+        index.tombstone(int(position))
+    for mask in (None, exclude):
+        found = index.search(queries, k, nprobe=nprobe, exclude=mask, stable=True)
+        want = certified_oracle(index, queries, nprobe, mask, k)
+        assert found.n_sources == batch
+        for row, (ids, scores) in enumerate(want):
+            got_ids, got_scores = found.row(row)
+            np.testing.assert_array_equal(got_ids, ids)
+            np.testing.assert_array_equal(got_scores, scores)

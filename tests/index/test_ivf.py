@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import DataIntegrityError
 from repro.index import IVF_FORMAT, IVF_VERSION, IVFIndex
+from repro.obs import trace as obs_trace
 from repro.obs.metrics import get_metrics
 from repro.similarity.chunked import chunked_top_k
 
@@ -113,6 +114,51 @@ class TestSearchQuality:
         before = registry.counter("index.search.queries")
         index.search(vectors[:7], k=3, nprobe=1)
         assert registry.counter("index.search.queries") == before + 7
+
+    @pytest.mark.parametrize("nprobe", [2, 6])
+    def test_rescored_counter(self, rng, nprobe):
+        """The certified cosine scan rescores at least ``k`` pairs per
+        row with ``k`` live members, and counts ``scanned`` as the BLAS
+        scan does: every probed live pair."""
+        vectors = rng.normal(size=(200, 8))
+        index = IVFIndex(n_clusters=6).train(vectors).add(vectors)
+        for position in range(0, 200, 7):
+            index.tombstone(position)
+        exclude = np.zeros(200, dtype=bool)
+        exclude[1::9] = True
+        queries, k = vectors[:9], 4
+        registry = get_metrics()
+
+        def counted(stable):
+            before = {
+                name: registry.counter(f"index.search.{name}")
+                for name in ("scanned", "rescored")
+            }
+            with obs_trace.recording() as recorder:
+                found = index.search(
+                    queries, k, nprobe=nprobe, exclude=exclude, stable=stable
+                )
+            (span,) = recorder.find("index.search")
+            counts = {
+                name: registry.counter(f"index.search.{name}") - before[name]
+                for name in before
+            }
+            assert span.counters == {**counts, "shortfall": span.counters["shortfall"]}
+            return found, counts
+
+        _, blas_counts = counted(stable=False)
+        stable, counts = counted(stable=True)
+        assert blas_counts["rescored"] == 0
+        assert counts["scanned"] == blas_counts["scanned"]
+        # Every probed live pair: a full-width BLAS search returns them all.
+        probed_live = index.search(queries, 200, nprobe=nprobe, exclude=exclude)
+        assert counts["scanned"] == probed_live.nnz
+        full_rows = int((probed_live.row_counts >= k).sum())
+        assert full_rows > 0
+        assert counts["rescored"] >= k * full_rows
+        if nprobe == index.n_clusters:
+            assert counts["rescored"] < counts["scanned"]
+        assert (stable.row_counts == np.minimum(probed_live.row_counts, k)).all()
 
 
 class TestPersistence:

@@ -96,6 +96,27 @@ class TestClone:
         index.tombstone(5)
         assert clone.ntotal == 40 and clone.n_alive == 40
 
+    def test_appends_on_diverged_clones_keep_their_own_rows(self, built, rng):
+        """Appends write into shared spare room; a clone whose next row
+        another clone already claimed must not overwrite it."""
+        index, _ = built
+        index.append_to_list(rng.normal(size=6))  # now has spare room
+        older = index.clone()
+        first, second = rng.normal(size=(2, 6))
+        index.append_to_list(first)
+        seen = index.reconstruct(np.arange(index.ntotal))
+        older.append_to_list(second)
+        np.testing.assert_array_equal(index.reconstruct([41]), [first])
+        np.testing.assert_array_equal(older.reconstruct([41]), [second])
+        np.testing.assert_array_equal(index.reconstruct(np.arange(42)), seen)
+        for each in (index, older):
+            found = each.search(each.reconstruct([41]), k=1, nprobe=4, stable=True)
+            assert found.row(0)[0][0] == 41
+            np.testing.assert_array_equal(
+                each.stable_scores(each.reconstruct([41]), np.array([41])),
+                [[found.row(0)[1][0]]],
+            )
+
 
 class TestStableSearch:
     def test_stable_matches_unstable_candidate_set(self, built, rng):

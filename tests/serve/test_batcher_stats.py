@@ -8,6 +8,7 @@ for the daemon's full ``/stats`` document.
 """
 
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -166,3 +167,27 @@ class TestDistributions:
             summary = stats[key]
             assert summary["p50"] <= summary["p95"] <= summary["p99"]
             assert summary["p99"] <= summary["max"]
+
+
+def width_handler(vectors, ks):
+    return [vectors.shape[1]] * len(ks)
+
+
+class TestFailingBatch:
+    def test_malformed_query_fails_only_its_own_batch(self):
+        """A batch that cannot be stacked (31- and 32-dim queries) fails
+        its own futures; the dispatcher survives and serves later work."""
+        with MicroBatcher(width_handler, max_batch=2, max_wait=5.0) as batcher:
+
+            def submit_pair(first, second):
+                with ThreadPoolExecutor(2) as pool:
+                    futures = [
+                        pool.submit(batcher.submit, np.zeros(dim), 1, 10.0)
+                        for dim in (first, second)
+                    ]
+                    return [future.exception() or future.result() for future in futures]
+
+            outcomes = submit_pair(32, 31)
+            assert all(isinstance(outcome, ValueError) for outcome in outcomes)
+            assert batcher._thread.is_alive()
+            assert submit_pair(32, 32) == [32, 32]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,62 @@ class TestGoldenResponses:
         ):
             assert raw_status(daemon, content_length) == want
         assert daemon.request("GET", "/healthz")[0] == 200
+
+
+class TestRequestValidation:
+    def test_wrong_dim_query_is_rejected_and_the_daemon_keeps_serving(
+        self, served_artifacts, tmp_path
+    ):
+        # A two-query batch window: a wrong-dim query sent beside a valid
+        # one would share its batch if it were ever enqueued.
+        args = ("--max-batch", "2", "--batch-wait-ms", "500")
+        with Daemon(served_artifacts, tmp_path, extra_args=args) as daemon:
+            with ThreadPoolExecutor(2) as pool:
+                statuses = list(pool.map(
+                    lambda vector: post(daemon, "/query", {"vector": vector, "k": 5})[0],
+                    (QUERY_VECTOR[:-1], QUERY_VECTOR),
+                ))
+            assert statuses == [400, 200]
+            for vector in (QUERY_VECTOR + [1.0], [QUERY_VECTOR]):
+                assert post(daemon, "/query", {"vector": vector, "k": 2})[0] == 400
+            status, body = post(daemon, "/query", {"vector": QUERY_VECTOR, "k": 5})
+            assert status == 200
+            check_golden("query_vector_k5.json", body)
+
+    def test_non_finite_and_non_numeric_vectors_are_rejected(self, daemon):
+        for raw in (
+            b'{"vector": [NaN, 0, 0, 0, 0, 0]}',
+            b'{"vector": [Infinity, 0, 0, 0, 0, 0]}',
+            b'{"vector": ["1", 0, 0, 0, 0, 0]}',
+            b'{"vector": [1' + b"0" * 400 + b', 0, 0, 0, 0, 0]}',
+        ):
+            assert daemon.request("POST", "/query", raw)[0] == 400
+        assert post(daemon, "/query", {"vector": QUERY_VECTOR})[0] == 200
+
+    def test_query_rejects_json_booleans(self, daemon):
+        for raw in (
+            b'{"vector": [0.5, -1.25, 0.75, 2.0, -0.5, 1.5], "k": true}',
+            b'{"entity_id": true, "k": 3}',
+            b'{"vector": [true, -1.25, 0.75, 2.0, -0.5, 1.5]}',
+        ):
+            status, body = daemon.request("POST", "/query", raw)
+            assert status == 400, body
+
+    def test_delete_and_insert_reject_json_booleans(self, writable_artifacts, tmp_path):
+        with Daemon(writable_artifacts, tmp_path) as daemon:
+            status, _ = daemon.request("POST", "/delete", b'{"entity_id": true}')
+            assert status == 400
+            # Entity 1 is still live: the boolean deleted nothing.
+            assert post(daemon, "/query", {"entity_id": 1, "k": 1})[0] == 200
+            vector = json.dumps(QUERY_VECTOR)
+            for raw in (
+                f'{{"vector": {vector}, "entity_id": true}}',
+                '{"vector": [0.5, -1.25, 0.75, 2.0, -0.5, false]}',
+            ):
+                status, body = daemon.request("POST", "/insert", raw.encode("utf-8"))
+                assert status == 400, body
+            stats = json.loads(daemon.request("GET", "/stats")[1])
+            assert stats["version"] == 0
 
 
 def raw_status(daemon, content_length: str) -> int:
