@@ -27,7 +27,12 @@ import numpy as np
 
 from repro.core.base import MatchResult, Matcher
 from repro.similarity.topk import top1_indices
-from repro.utils.kmeans import centroid_distances, kmeans_centroids, nearest_centroid
+from repro.utils.kmeans import (
+    centroid_distances,
+    cluster_members,
+    kmeans_centroids,
+    nearest_centroid,
+)
 from repro.utils.memory import MemoryTracker
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
@@ -101,8 +106,8 @@ class BlockedMatcher(Matcher):
         scores: list[np.ndarray] = []
         best_score = np.full(source.shape[0], -np.inf)
         peak_block = 0
-        for block_id, block_targets in enumerate(target_blocks):
-            block_sources = np.flatnonzero(source_block == block_id)
+        source_blocks = cluster_members(source_block, len(target_blocks))
+        for block_sources, block_targets in zip(source_blocks, target_blocks):
             if len(block_sources) == 0 or len(block_targets) == 0:
                 continue
             peak_block = max(peak_block, len(block_sources) * len(block_targets) * 8)
@@ -161,7 +166,7 @@ class BlockedMatcher(Matcher):
         """
         distances = centroid_distances(target, centroids, center)
         nearest = distances.argmin(axis=1)
-        blocks = [np.flatnonzero(nearest == b) for b in range(len(centroids))]
+        blocks = cluster_members(nearest, len(centroids))
         if self.overlap <= 0 or len(centroids) < 2:
             return blocks
         order = np.argsort(distances, axis=1)

@@ -48,7 +48,12 @@ from repro.similarity.metrics import (
     prepare_stable_metric,
 )
 from repro.storage.durable import atomic_write, payload_checksum, verify_checksum
-from repro.utils.kmeans import centroid_distances, kmeans_centroids, nearest_centroid
+from repro.utils.kmeans import (
+    centroid_distances,
+    cluster_members,
+    kmeans_centroids,
+    nearest_centroid,
+)
 from repro.utils.parallel import row_chunks, rows_per_chunk
 from repro.utils.validation import check_embedding_matrix
 
@@ -221,9 +226,7 @@ class IVFIndex:
             assignments = nearest_centroid(vectors, self._centroids, self._center)
         self._set_vectors(vectors)
         self._assignments = assignments
-        self._lists = [
-            np.flatnonzero(assignments == c) for c in range(self.n_clusters)
-        ]
+        self._lists = cluster_members(assignments, self.n_clusters)
         self._alive = np.ones(vectors.shape[0], dtype=bool)
         if obs_events.enabled():
             sizes = np.array([len(lst) for lst in self._lists])
@@ -647,9 +650,7 @@ class IVFIndex:
                 f"{path}: centroids {index._centroids.shape} or center "
                 f"{index._center.shape} do not match {dim}-dim vectors"
             )
-        index._lists = [
-            np.flatnonzero(index._assignments == c) for c in range(index.n_clusters)
-        ]
+        index._lists = cluster_members(assignments, index.n_clusters)
         index._alive = np.ones(index.ntotal, dtype=bool)
         tombstones = document.get("tombstones")
         if tombstones:

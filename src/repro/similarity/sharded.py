@@ -135,7 +135,10 @@ def process_sharded_similarity(
     kill: the executor reports a broken pool rather than hanging on
     results that cannot arrive) surfaces as a typed
     :class:`~repro.errors.WorkerCrashedError` carrying whatever exit
-    codes the pool still knows.
+    codes the pool still knows.  So does an ``OSError`` raised while the
+    pool respawns a worker (``handle is closed`` from a dead worker's
+    pipe), but only when the pool holds a dead worker; any other
+    ``OSError`` propagates unchanged.
     """
     n_source, n_target = source.shape[0], target.shape[0]
     segments: list[shared_memory.SharedMemory] = []
@@ -154,8 +157,10 @@ def process_sharded_similarity(
         ]
         try:
             seconds = list(pool.map(_run_shard, tasks))
-        except BrokenExecutor as error:
+        except (BrokenExecutor, OSError) as error:
             exitcodes = _dead_exitcodes(pool)
+            if not isinstance(error, BrokenExecutor) and not exitcodes:
+                raise
             raise WorkerCrashedError(
                 f"shard worker process died mid-computation "
                 f"({len(shards)} shards in flight"

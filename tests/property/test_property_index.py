@@ -13,6 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro.index import IVFIndex
 from repro.similarity.chunked import chunked_top_k
+from repro.utils.kmeans import kmeans_centroids
+from tests.utils.test_kmeans import reference_kmeans
 
 
 def index_problems(max_targets=24, max_queries=8, max_dim=5):
@@ -68,3 +70,40 @@ class TestFullProbeExactness:
         np.testing.assert_allclose(
             found.scores, dense[rows, found.indices], atol=1e-9
         )
+
+
+def kmeans_problems(max_rows=30, max_dim=6):
+    """(matrix, k, iterations): few distinct rows, many exact duplicates."""
+    shape = st.tuples(
+        st.integers(1, 12),         # distinct rows
+        st.integers(1, max_rows),   # rows
+        st.integers(1, max_dim),    # dim
+    )
+
+    def build(s):
+        n_distinct, n_rows, dim = s
+        # Lattice points give exact distance ties between distinct rows.
+        elements = st.one_of(
+            st.floats(-100, 100, allow_nan=False, width=32),
+            st.sampled_from([-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3]),
+        )
+        return st.tuples(
+            arrays(np.float64, (n_distinct, dim), elements=elements),
+            st.lists(st.integers(0, n_distinct - 1), min_size=n_rows, max_size=n_rows),
+            st.integers(1, n_rows),   # k
+            st.integers(0, 4),        # iterations
+        )
+
+    return shape.flatmap(build)
+
+
+class TestQuantizerIsTheReferenceFit:
+    @given(kmeans_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_certified_fit_equals_reference_bitwise(self, problem):
+        distinct, picks, k, iterations = problem
+        matrix = distinct[picks]
+        got = kmeans_centroids(matrix, k, iterations=iterations)
+        want = reference_kmeans(matrix, k, iterations=iterations)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()

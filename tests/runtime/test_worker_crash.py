@@ -101,6 +101,47 @@ class TestThreadRungInProcess:
                 )
 
 
+class _FakeProcess:
+    def __init__(self, exitcode):
+        self.exitcode = exitcode
+
+
+class _OSErrorPool:
+    """A pool whose ``map`` fails the way a respawn after a kill can."""
+
+    def __init__(self, exitcodes):
+        self._processes = {i: _FakeProcess(code) for i, code in enumerate(exitcodes)}
+
+    def map(self, fn, tasks):
+        raise OSError("handle is closed")
+
+
+class TestOSErrorFromPool:
+    """An ``OSError`` out of ``pool.map`` is a crash only beside a dead worker."""
+
+    def _run(self, pool):
+        source, target = _embeddings(n=16, d=4)
+        return process_sharded_similarity(
+            source, target, "cosine", plan_shards(16, 16, chunk_rows=8), pool=pool
+        )
+
+    def test_dead_worker_turns_oserror_into_typed_crash(self):
+        before = _shm_segments()
+        with pytest.raises(WorkerCrashedError) as caught:
+            self._run(_OSErrorPool([None, -signal.SIGKILL]))
+        assert caught.value.backend == "process"
+        assert caught.value.exitcodes == (-signal.SIGKILL,)
+        assert isinstance(caught.value.__cause__, OSError)
+        assert _shm_segments() - before == set()
+
+    def test_oserror_without_dead_worker_propagates_unchanged(self):
+        before = _shm_segments()
+        with pytest.raises(OSError, match="handle is closed") as caught:
+            self._run(_OSErrorPool([None, 0]))
+        assert not isinstance(caught.value, WorkerCrashedError)
+        assert _shm_segments() - before == set()
+
+
 def _reap(pool):
     """Kill surviving workers, then join the executor fully.
 
