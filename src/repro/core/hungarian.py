@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.optimize
 
 from repro.core.base import MatchResult, PipelineMatcher
 from repro.obs import metrics as obs_metrics
@@ -114,6 +113,11 @@ def solve_assignment_max(
     n_source, n_target = scores.shape
 
     if backend == "scipy":
+        # Imported here, its one use: ``scipy.optimize`` takes 0.3-0.5 s
+        # to import, and the serve daemon, which imports this module
+        # through ``repro.core``, never solves a dense assignment.
+        import scipy.optimize
+
         rows, cols = scipy.optimize.linear_sum_assignment(scores, maximize=True)
         pairs = np.stack([rows, cols], axis=1)
         return pairs, scores[rows, cols]

@@ -24,12 +24,13 @@ pair-stably.
 
 The index is observable (``index.*`` spans and counters: queries,
 scanned candidates, per-row shortfalls) and persistable to a
-schema-versioned JSON document (:meth:`IVFIndex.save` /
-:meth:`IVFIndex.load`).
+schema-versioned, checksummed JSON document whose arrays are base64
+little-endian bytes (:meth:`IVFIndex.save` / :meth:`IVFIndex.load`).
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from pathlib import Path
 
@@ -64,13 +65,50 @@ SCAN_CHUNK_ELEMS = 2**19
 
 #: Persistence format tag and version (bumped on breaking layout change).
 IVF_FORMAT = "repro-ivf"
-IVF_VERSION = 1
+IVF_VERSION = 2
+
+#: The dtypes the document's arrays are stored in: fixed here, never
+#: read from the document.
+_FLOAT = np.dtype("<f8")
+_INT = np.dtype("<i8")
+
+
+def _canonical_body(document: dict) -> bytes:
+    """The bytes the checksum covers: every key but ``checksum``, as
+    sorted-key JSON."""
+    body = {key: value for key, value in document.items() if key != "checksum"}
+    return json.dumps(body, sort_keys=True).encode("utf-8")
 
 
 def _document_checksum(document: dict) -> str:
     """Digest of the index document's content (every key but ``checksum``)."""
-    body = {key: value for key, value in document.items() if key != "checksum"}
-    return payload_checksum(json.dumps(body, sort_keys=True).encode("utf-8"))
+    return payload_checksum(_canonical_body(document))
+
+
+def _encode(array: np.ndarray, dtype: np.dtype) -> dict:
+    """An array as ``{"shape": [...], "data": "<base64 of its bytes>"}``."""
+    array = np.ascontiguousarray(array, dtype=dtype)
+    return {
+        "shape": list(array.shape),
+        "data": base64.b64encode(array.tobytes()).decode("ascii"),
+    }
+
+
+def _decode(path: Path, document: dict, key: str, dtype: np.dtype, ndim: int) -> np.ndarray:
+    """The read-only ``ndim``-dim array :func:`_encode` wrote under
+    ``document[key]``; a malformed field (not base64, a shape the byte
+    count disagrees with) is a :class:`~repro.errors.DataIntegrityError`."""
+    try:
+        field = document[key]
+        raw = base64.b64decode(field["data"], validate=True)
+        array = np.frombuffer(raw, dtype=dtype).reshape(field["shape"])
+        if array.ndim != ndim or list(array.shape) != field["shape"]:
+            raise ValueError(f"shape {field['shape']} is not a {ndim}-dim shape")
+    except (KeyError, TypeError, ValueError) as error:
+        raise DataIntegrityError(
+            f"{path}: IVF index field {key!r} is malformed ({error})"
+        ) from error
+    return array
 
 
 class _Spare:
@@ -562,6 +600,8 @@ class IVFIndex:
     def save(self, path: str | Path) -> Path:
         """Write the trained index (quantizer + vectors + lists) as JSON.
 
+        Arrays are stored as base64 bytes (:func:`_encode`); the vectors
+        are only the indexed rows, never an append buffer's spare room.
         The document lands through the atomic temp-file + rename
         protocol and carries a blake2b ``checksum`` over its own content
         (the canonical JSON of every key except ``checksum``), so a torn
@@ -576,15 +616,14 @@ class IVFIndex:
             "metric": self.metric,
             "n_clusters": self.n_clusters,
             "train_iterations": self.train_iterations,
-            "center": self._center.tolist(),
-            "centroids": self._centroids.tolist(),
-            "vectors": self._vectors.tolist(),
-            "assignments": self._assignments.tolist(),
+            "center": _encode(self._center, _FLOAT),
+            "centroids": _encode(self._centroids, _FLOAT),
+            "vectors": _encode(self._vectors, _FLOAT),
+            "assignments": _encode(self._assignments, _INT),
         }
-        # Only written when tombstones exist, so documents from indexes
-        # that never saw a delete stay byte-identical to older writers.
+        # Only written when tombstones exist.
         if self.n_tombstoned:
-            document["tombstones"] = np.flatnonzero(~self._alive).tolist()
+            document["tombstones"] = _encode(np.flatnonzero(~self._alive), _INT)
         document["checksum"] = _document_checksum(document)
         path = Path(path)
         atomic_write(path, json.dumps(document) + "\n")
@@ -597,11 +636,11 @@ class IVFIndex:
         Validation order: JSON well-formedness, format tag, version,
         then content checksum — version mismatches are reported as such
         even though an edited version field also invalidates the digest.
-        Documents without a ``checksum`` key (pre-durability writers)
-        load unverified, but their shapes are checked: assignments must
-        cover every vector with a value in ``[0, n_clusters)`` (one out
-        of range would drop its vector from every list), and centroids
-        and center must share the vectors' dimension.
+        The checksum is mandatory.  Shapes are checked even so, against
+        a writer bug: assignments must cover every vector with a value
+        in ``[0, n_clusters)`` (one out of range would drop its vector
+        from every list), and centroids and center must share the
+        vectors' dimension.
         """
         path = Path(path)
         try:
@@ -618,30 +657,25 @@ class IVFIndex:
             )
         if document.get("version") != IVF_VERSION:
             raise ValueError(
-                f"unsupported {IVF_FORMAT} version {document.get('version')!r}; "
-                f"this build reads version {IVF_VERSION}"
+                f"{path}: unsupported {IVF_FORMAT} version {document.get('version')!r}; "
+                f"this build reads version {IVF_VERSION} only: rebuild the index "
+                f"with `python -m repro index build`"
             )
         recorded = document.get("checksum")
-        if recorded is not None:
-            body = {key: value for key, value in document.items() if key != "checksum"}
-            verify_checksum(
-                path,
-                recorded,
-                json.dumps(body, sort_keys=True).encode("utf-8"),
-                artifact="IVF index",
-            )
+        if recorded is None:
+            raise DataIntegrityError(f"{path}: IVF index document records no checksum")
+        verify_checksum(path, recorded, _canonical_body(document), artifact="IVF index")
         index = cls(
             n_clusters=int(document["n_clusters"]),
             metric=document["metric"],
             train_iterations=int(document["train_iterations"]),
         )
-        index._centroids = np.asarray(document["centroids"], dtype=np.float64)
-        index._center = np.asarray(document["center"], dtype=np.float64)
-        index._set_vectors(np.asarray(document["vectors"], dtype=np.float64))
-        index._assignments = np.asarray(document["assignments"], dtype=np.int64)
-        assignments = index._assignments
-        n, dim = len(index._vectors), index._vectors.shape[-1]
-        if index._vectors.ndim != 2 or assignments.shape != (n,):
+        index._centroids = _decode(path, document, "centroids", _FLOAT, 2)
+        index._center = _decode(path, document, "center", _FLOAT, 1)
+        index._set_vectors(_decode(path, document, "vectors", _FLOAT, 2))
+        index._assignments = assignments = _decode(path, document, "assignments", _INT, 1)
+        n, dim = index._vectors.shape
+        if assignments.shape != (n,):
             raise DataIntegrityError(f"{path}: {assignments.size} assignments for {n} vectors")
         if n and not 0 <= assignments.min() <= assignments.max() < index.n_clusters:
             raise DataIntegrityError(f"{path}: assignment outside [0, {index.n_clusters})")
@@ -651,14 +685,12 @@ class IVFIndex:
                 f"{index._center.shape} do not match {dim}-dim vectors"
             )
         index._lists = cluster_members(assignments, index.n_clusters)
-        index._alive = np.ones(index.ntotal, dtype=bool)
-        tombstones = document.get("tombstones")
-        if tombstones:
-            positions = np.asarray(tombstones, dtype=np.int64)
-            if positions.min() < 0 or positions.max() >= index.ntotal:
+        index._alive = np.ones(n, dtype=bool)
+        if "tombstones" in document:
+            positions = _decode(path, document, "tombstones", _INT, 1)
+            if len(positions) and (positions.min() < 0 or positions.max() >= n):
                 raise DataIntegrityError(
-                    f"{path}: tombstone positions out of range for "
-                    f"{index.ntotal} indexed vectors"
+                    f"{path}: tombstone positions out of range for {n} indexed vectors"
                 )
             index._alive[positions] = False
         return index

@@ -62,6 +62,12 @@ EXPLAIN_LIMIT = 64
 #: vectors is about 6 MiB of JSON).
 MAX_BODY_BYTES = 16 * 2**20
 
+#: Socket timeout, seconds, for each read from (or write to) a client.
+#: A client that stalls mid-request, or idles on a kept-alive
+#: connection, for longer is disconnected, so it cannot pin a handler
+#: thread forever.
+READ_TIMEOUT_S = 30.0
+
 #: Default slow-query threshold, seconds: requests over it emit a
 #: ``serve.slow`` event carrying their captured span tree.
 SLOW_THRESHOLD = 0.1
@@ -368,6 +374,7 @@ class AlignmentServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: AlignmentServer
     protocol_version = "HTTP/1.1"
+    timeout = READ_TIMEOUT_S
 
     # -- plumbing ------------------------------------------------------
 
@@ -415,7 +422,11 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServeError(
                 413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
             )
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            self.close_connection = True
+            raise ServeError(408, f"request body not received within {self.timeout} s")
         if not raw:
             raise ServeError(400, "request body is empty")
         try:

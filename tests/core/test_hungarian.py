@@ -1,5 +1,10 @@
 """Tests for the from-scratch Hungarian (Jonker-Volgenant) solver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -110,3 +115,34 @@ class TestHungarianMatcher:
         via_scipy = Hungarian(backend="scipy").match(src, tgt)
         gold = {(i, i) for i in range(len(pairs))}
         assert len(native.as_set() & gold) == len(via_scipy.as_set() & gold)
+
+
+_SERVE_IMPORTS = """
+import sys
+
+import numpy as np
+
+import repro.cli, repro.serve.http, repro.serve.state
+assert "scipy.optimize" not in sys.modules, "scipy.optimize on the serve import path"
+
+from repro.core.hungarian import solve_assignment_max
+
+scores = np.random.default_rng(7).random((9, 9))
+native, native_scores = solve_assignment_max(scores, backend="native")
+lazy, lazy_scores = solve_assignment_max(scores, backend="scipy")
+order = np.argsort(lazy[:, 0])
+assert (native == lazy[order]).all() and (native_scores == lazy_scores[order]).all()
+assert "scipy.optimize" in sys.modules
+"""
+
+
+class TestScipyImportedLazily:
+    def test_serve_import_path_leaves_scipy_optimize_unloaded(self):
+        # A fresh interpreter: this test module already imported scipy.optimize.
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", _SERVE_IMPORTS],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr

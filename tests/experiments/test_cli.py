@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.index import IVFIndex
 
 
 class TestParser:
@@ -176,6 +180,27 @@ class TestIndexCommands:
         assert main(["index", "stats", str(path)]) == 0
         stats_out = capsys.readouterr().out
         assert "n_clusters" in stats_out
+
+    @pytest.mark.parametrize("damage", ["version-1", "bit-flip"])
+    def test_index_stats_on_a_bad_document_exits_1_with_the_typed_message(
+        self, tmp_path, capsys, damage
+    ):
+        vectors = np.random.default_rng(3).normal(size=(12, 4))
+        path = IVFIndex(n_clusters=2).train(vectors).add(vectors).save(tmp_path / "i.json")
+        document = json.loads(path.read_text(encoding="utf-8"))
+        if damage == "version-1":
+            document["version"] = 1
+            expected = "python -m repro index build"
+        else:
+            data = document["vectors"]["data"]
+            document["vectors"]["data"] = ("B" if data[0] == "A" else "A") + data[1:]
+            expected = "IVF index checksum mismatch"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["index", "stats", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot load index {path}: ")
+        assert expected in err
+        assert "Traceback" not in err
 
 
 class TestExplainCommand:

@@ -7,9 +7,21 @@ import pytest
 
 from repro.errors import DataIntegrityError
 from repro.index import IVF_FORMAT, IVF_VERSION, IVFIndex
+from repro.index.ivf import _FLOAT, _INT, _decode, _document_checksum, _encode
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import get_metrics
 from repro.similarity.chunked import chunked_top_k
+
+
+def reseal(path, key, edit):
+    """Rewrite ``path`` with ``edit`` applied to the array under ``key``
+    and a checksum that matches the edited document."""
+    document = json.loads(path.read_text(encoding="utf-8"))
+    dtype = _INT if key in ("assignments", "tombstones") else _FLOAT
+    array = _decode(path, document, key, dtype, len(document[key]["shape"]))
+    document[key] = _encode(edit(array.copy()), dtype)
+    document["checksum"] = _document_checksum(document)
+    path.write_text(json.dumps(document), encoding="utf-8")
 
 
 def clustered_embeddings(rng, size=300, dim=32, noise=0.3):
@@ -185,28 +197,26 @@ class TestPersistence:
             IVFIndex.load(path)
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "key, edit, message",
         [
-            (lambda doc: doc["assignments"].pop(), "assignments for"),
-            (lambda doc: doc["assignments"].__setitem__(0, 2), "outside"),
-            (lambda doc: doc["assignments"].__setitem__(0, -1), "outside"),
-            (lambda doc: [row.pop() for row in doc["centroids"]], "centroids"),
-            (lambda doc: doc["center"].append(0.0), "center"),
+            ("assignments", lambda a: a[:-1], "assignments for"),
+            ("assignments", lambda a: np.concatenate([[2], a[1:]]), "outside"),
+            ("assignments", lambda a: np.concatenate([[-1], a[1:]]), "outside"),
+            ("centroids", lambda a: a[:, :-1], "centroids"),
+            ("center", lambda a: np.append(a, 0.0), "center"),
         ],
         ids=["assignments-length", "assignment-high", "assignment-low", "centroid-dim",
              "center-dim"],
     )
     def test_load_rejects_inconsistent_unverified_document(
-        self, rng, tmp_path, edit, message
+        self, rng, tmp_path, key, edit, message
     ):
-        # A document without a checksum loads unverified; its shapes are
+        # A writer bug: the edited array is re-encoded and the document
+        # re-sealed, so the checksum cannot see it.  The shapes are
         # still checked, so an edit cannot hide a vector from every list.
         vectors = rng.normal(size=(10, 4))
         path = IVFIndex(n_clusters=2).train(vectors).add(vectors).save(tmp_path / "i.json")
-        document = json.loads(path.read_text(encoding="utf-8"))
-        del document["checksum"]
-        edit(document)
-        path.write_text(json.dumps(document), encoding="utf-8")
+        reseal(path, key, edit)
         with pytest.raises(DataIntegrityError, match=message):
             IVFIndex.load(path)
 
@@ -218,4 +228,113 @@ class TestPersistence:
         document["version"] = IVF_VERSION + 1
         path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(ValueError, match="version"):
+            IVFIndex.load(path)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_bitwise_equal(loaded, index):
+    for name in ("_centroids", "_center", "_vectors", "_unit", "_assignments", "_alive"):
+        assert _same_bits(getattr(loaded, name), getattr(index, name)), name
+    assert len(loaded._lists) == len(index._lists)
+    for got, want in zip(loaded._lists, index._lists):
+        assert _same_bits(got, want)
+
+
+class TestBinaryDocument:
+    """Version 2: arrays stored as base64 bytes, checksum mandatory."""
+
+    def test_round_trip_bitwise_special_values(self, rng, tmp_path):
+        vectors = rng.normal(size=(12, 4))
+        vectors[0, 0] = -0.0
+        vectors[1, 1] = 5e-324  # smallest subnormal
+        vectors[2, 2] = -2.5e-310
+        vectors[3, 3] = 3.0e100
+        index = IVFIndex(n_clusters=3).train(vectors).add(vectors)
+        loaded = IVFIndex.load(index.save(tmp_path / "i.json"))
+        _assert_bitwise_equal(loaded, index)
+        assert np.signbit(loaded._vectors[0, 0])
+
+    def test_round_trip_single_row(self, rng, tmp_path):
+        vectors = rng.normal(size=(1, 5))
+        index = IVFIndex(n_clusters=4).train(vectors).add(vectors)
+        loaded = IVFIndex.load(index.save(tmp_path / "i.json"))
+        _assert_bitwise_equal(loaded, index)
+        assert loaded.ntotal == 1 and loaded.n_clusters == index.n_clusters
+
+    def test_round_trip_tombstones(self, rng, tmp_path):
+        vectors = rng.normal(size=(20, 4))
+        index = IVFIndex(n_clusters=3).train(vectors).add(vectors)
+        index.tombstone(0)
+        index.tombstone(13)
+        loaded = IVFIndex.load(index.save(tmp_path / "i.json"))
+        _assert_bitwise_equal(loaded, index)
+        assert loaded.n_tombstoned == 2
+
+    def test_round_trip_appended_writes_only_the_view(self, rng, tmp_path):
+        vectors = rng.normal(size=(20, 4))
+        index = IVFIndex(n_clusters=3).train(vectors).add(vectors)
+        for row in rng.normal(size=(2, 4)):
+            index.append_to_list(row)
+        assert len(index._spare.vectors) > index.ntotal  # spare room exists
+        path = index.save(tmp_path / "i.json")
+        document = json.loads(path.read_text(encoding="utf-8"))
+        assert document["vectors"]["shape"] == [22, 4]
+        loaded = IVFIndex.load(path)
+        _assert_bitwise_equal(loaded, index)
+        queries = rng.normal(size=(5, 4))
+        want = index.search(queries, k=4, nprobe=3, stable=True)
+        got = loaded.search(queries, k=4, nprobe=3, stable=True)
+        assert _same_bits(got.indices, want.indices)
+        assert _same_bits(got.scores, want.scores)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda field: field.update(data="*" + field["data"][1:]),
+            lambda field: field.update(data=field["data"][:-3]),
+            lambda field: field.update(shape=[field["shape"][0] + 1, field["shape"][1]]),
+            lambda field: field.update(shape=field["shape"][:1]),
+        ],
+        ids=["non-alphabet", "truncated", "shape-vs-bytes", "rank"],
+    )
+    def test_corrupt_payload_with_valid_checksum_is_typed(self, rng, tmp_path, corrupt):
+        vectors = rng.normal(size=(10, 4))
+        path = IVFIndex(n_clusters=2).train(vectors).add(vectors).save(tmp_path / "i.json")
+        document = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(document["vectors"])
+        document["checksum"] = _document_checksum(document)
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(DataIntegrityError, match="IVF index field 'vectors'"):
+            IVFIndex.load(path)
+
+    def test_version_1_document_names_the_rebuild_command(self, rng, tmp_path):
+        vectors = rng.normal(size=(10, 4))
+        index = IVFIndex(n_clusters=2).train(vectors).add(vectors)
+        document = {  # the version 1 layout: arrays as JSON floats
+            "format": IVF_FORMAT,
+            "version": 1,
+            "metric": index.metric,
+            "n_clusters": index.n_clusters,
+            "train_iterations": index.train_iterations,
+            "center": index._center.tolist(),
+            "centroids": index._centroids.tolist(),
+            "vectors": index._vectors.tolist(),
+            "assignments": index._assignments.tolist(),
+        }
+        document["checksum"] = _document_checksum(document)
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ValueError, match="python -m repro index build"):
+            IVFIndex.load(path)
+
+    def test_document_without_checksum_is_rejected(self, rng, tmp_path):
+        vectors = rng.normal(size=(10, 4))
+        path = IVFIndex(n_clusters=2).train(vectors).add(vectors).save(tmp_path / "i.json")
+        document = json.loads(path.read_text(encoding="utf-8"))
+        del document["checksum"]
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(DataIntegrityError, match="no checksum"):
             IVFIndex.load(path)

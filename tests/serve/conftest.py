@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -22,6 +23,8 @@ import numpy as np
 import pytest
 
 from repro.index import IVFIndex
+from repro.serve.http import AlignmentServer
+from repro.serve.state import ServingState
 from repro.storage import EmbeddingStore
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -130,3 +133,27 @@ def writable_artifacts(served_artifacts, tmp_path) -> Artifacts:
     shutil.copy(served_artifacts.store, store)
     shutil.copy(served_artifacts.index, index)
     return Artifacts(store=store, index=index, vectors=served_artifacts.vectors)
+
+
+@pytest.fixture
+def live_server(tmp_path):
+    """An in-process daemon: events observable, ephemeral port."""
+    rng = np.random.default_rng(13)
+    base = rng.normal(size=(16, 4)).astype(np.float64)
+    store_path = tmp_path / "emb.store"
+    store = EmbeddingStore.create(store_path, base.shape, "float64",
+                                  capacity=32)
+    store[:] = base
+    store.update_checksum()
+    store.close()
+    IVFIndex(n_clusters=2).train(base).add(base).save(tmp_path / "ivf.json")
+    state = ServingState.load(store_path, tmp_path / "ivf.json")
+    server = AlignmentServer(("127.0.0.1", 0), state, max_wait=0.0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.close()
+        thread.join(timeout=5)

@@ -15,16 +15,11 @@ import threading
 import time
 import urllib.request
 
-import numpy as np
 import pytest
 
-from repro.index import IVFIndex
 from repro.obs import events as obs_events
 from repro.serve import context as serve_context
 from repro.serve.batching import MicroBatcher
-from repro.serve.http import AlignmentServer
-from repro.serve.state import ServingState
-from repro.storage import EmbeddingStore
 
 pytestmark = pytest.mark.serve
 
@@ -129,30 +124,6 @@ class TestAccessLogSink:
             canonical = json.dumps(record, sort_keys=True,
                                    separators=(",", ":"))
             assert line == canonical
-
-
-@pytest.fixture
-def live_server(tmp_path):
-    """An in-process daemon: events observable, ephemeral port."""
-    rng = np.random.default_rng(13)
-    base = rng.normal(size=(16, 4)).astype(np.float64)
-    store_path = tmp_path / "emb.store"
-    store = EmbeddingStore.create(store_path, base.shape, "float64",
-                                  capacity=32)
-    store[:] = base
-    store.update_checksum()
-    store.close()
-    IVFIndex(n_clusters=2).train(base).add(base).save(tmp_path / "ivf.json")
-    state = ServingState.load(store_path, tmp_path / "ivf.json")
-    server = AlignmentServer(("127.0.0.1", 0), state, max_wait=0.0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.shutdown()
-        server.close()
-        thread.join(timeout=5)
 
 
 def wait_for(predicate, timeout=5.0):
