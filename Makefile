@@ -7,7 +7,7 @@ PY := PYTHONPATH=src python -m
 
 .PHONY: check lint test property obs serve test-serve chaos chaos-crash \
 	bench bench-obs bench-serve bench-check bench-scale-smoke soak-smoke \
-	perfbench-smoke drift reference-update
+	perfbench-smoke drift reference-update loc
 
 check: lint
 	$(PY) pytest -q -m "not chaos and not chaos_crash"
@@ -97,3 +97,7 @@ drift:
 # REFERENCE_accuracy.json; review the diff and commit both.
 reference-update:
 	PYTHONPATH=src python benchmarks/update_reference.py
+
+# Tracked src/**/*.py line count: the one way CHANGES.md counts src/.
+loc:
+	@git ls-files 'src/*.py' | xargs wc -l | tail -1

@@ -37,7 +37,7 @@ from repro.obs import trace
 from repro.obs.ledger import RunLedger
 from repro.similarity.engine import SimilarityEngine
 from repro.similarity.metrics import prepare_metric
-from repro.utils.parallel import map_chunks, row_chunks
+from repro.utils.parallel import plan_shards
 
 from conftest import RESULTS_DIR
 
@@ -87,12 +87,8 @@ def _reference_similarity(source, target):
     target = target.astype(np.float64, copy=False)
     kernel = prepare_metric("cosine", source, target)
     out = np.empty((source.shape[0], target.shape[0]), dtype=np.float64)
-    chunks = row_chunks(source.shape[0], ENGINE_CHUNK)
-
-    def work(rows):
-        out[rows] = kernel(rows)
-
-    map_chunks(work, chunks, workers=1)
+    for shard in plan_shards(source.shape[0], target.shape[0], chunk_rows=ENGINE_CHUNK):
+        out[shard.rows, shard.cols] = kernel(shard.rows, shard.cols)
     return out
 
 

@@ -136,11 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument("--matcher", default="DInf", choices=available_matchers())
     match.add_argument("--scale", type=float, default=1.0)
     match.add_argument("--workers", type=int, default=1,
-                       help="threads for the similarity engine (0 = all cores)")
-    match.add_argument("--backend", choices=["thread", "process"], default="thread",
-                       help="shard execution backend: 'process' scores shards "
-                            "in spawned workers over shared memory (bitwise-"
-                            "identical to 'thread' at every worker count)")
+                       help="shard worker processes; 1 runs in the calling "
+                            "thread (0 = all cores)")
     match.add_argument("--shard-rows", type=int, default=None, metavar="ROWS",
                        help="rows per similarity shard (default: sized from "
                             "the chunk/memory budget)")
@@ -433,7 +430,6 @@ def _run_match(
     index_config: IndexConfig | None = None,
     ledger_path: Path | None = None,
     events_spec: str | None = None,
-    backend: str = "thread",
     shard_rows: int | None = None,
     resume: bool = False,
     durable: bool = False,
@@ -474,7 +470,6 @@ def _run_match(
         workers=workers,
         dtype=dtype,
         cache=not no_cache,
-        backend=backend,
         memory_budget=policy.memory_budget,
         chunk_rows=shard_rows,
     ) as engine:
@@ -1173,7 +1168,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 policy=_match_policy(args), profile_path=args.profile,
                 index_config=_match_index_config(args),
                 ledger_path=args.ledger, events_spec=args.events,
-                backend=args.backend, shard_rows=args.shard_rows,
+                shard_rows=args.shard_rows,
                 resume=args.resume, durable=args.durable,
             )
         except MatcherError as err:

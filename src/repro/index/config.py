@@ -63,7 +63,7 @@ def build_candidates(
     """Build the candidate set ``config`` describes for one problem.
 
     ``engine`` (a :class:`~repro.similarity.engine.SimilarityEngine`)
-    is used for the exact strategy when given — its worker pool, dtype,
+    is used for the exact strategy when given — its dtype, chunk policy
     and score cache all apply; without one the serial chunked kernel
     runs.  The IVF strategy trains on the *target* side, mirroring the
     blocking matcher's convention.

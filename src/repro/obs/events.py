@@ -22,7 +22,7 @@ benchmark (``benchmarks/test_obs_overhead.py``) holds the whole
 ledger+events layer under its 2 % budget on a full sweep.
 
 Events are ordered by a process-wide sequence number assigned under a
-lock, so concurrent emitters (engine worker threads, the supervisor's
+lock, so concurrent emitters (HTTP handler threads, the supervisor's
 watchdog) serialise into one deterministic timeline; ``elapsed`` wall
 offsets are informational and excluded from determinism contracts.  A
 sink that raises is dropped after a one-line warning rather than taking

@@ -11,7 +11,7 @@ the span, free-form attributes, and named counters::
     with recording(recorder):
         with span("engine.similarity", metric="cosine") as sp:
             for i, rows in enumerate(chunks):
-                with span("engine.chunk", parent=sp, index=i):
+                with span("engine.chunk", index=i):
                     compute(rows)
             sp.count("chunks", len(chunks))
 
@@ -24,7 +24,7 @@ CLI's ``repro match --profile`` and the runner's ``profile=True`` do
 exactly that) and uninstalled on exit, so benchmarks and production
 sweeps are never instrumented by accident.
 
-Spans opened on worker threads (the engine's chunk kernels) pass
+Spans opened on another thread than their logical parent pass
 ``parent=`` explicitly because the thread-local span stack does not
 cross thread boundaries; parentless spans on a fresh thread become
 additional roots.  Everything here is stdlib-only.

@@ -71,7 +71,7 @@ class AlignmentPipeline:
 
     ``engine`` optionally supplies a shared
     :class:`~repro.similarity.engine.SimilarityEngine`: the matcher then
-    derives S through it (parallel workers, float32 mode, and a score
+    derives S through it (shard worker processes, float32 mode, and a score
     cache that pays off when several pipelines share one embedding space).
 
     ``policy`` (or a ready-made ``supervisor``) turns the matching stage

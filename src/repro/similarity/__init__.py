@@ -8,7 +8,7 @@ Manhattan distances are converted to similarities so that "higher is
 better" holds uniformly (paper footnote 3).
 """
 
-from repro.similarity.chunked import chunked_argmax, chunked_csls_top_k, chunked_top_k
+from repro.similarity.chunked import chunked_top_k
 from repro.similarity.engine import EngineStats, SimilarityEngine, fingerprint
 from repro.similarity.metrics import (
     SIMILARITY_METRICS,
@@ -18,11 +18,7 @@ from repro.similarity.metrics import (
     prepare_metric,
     similarity_matrix,
 )
-from repro.similarity.sharded import (
-    PROCESS_MIN_ELEMS,
-    process_sharded_similarity,
-    score_shard,
-)
+from repro.similarity.sharded import PROCESS_MIN_ELEMS, process_sharded_similarity
 from repro.similarity.topk import top_k_indices, top_k_mean, top_k_values
 
 __all__ = [
@@ -30,8 +26,6 @@ __all__ = [
     "SIMILARITY_METRICS",
     "EngineStats",
     "SimilarityEngine",
-    "chunked_argmax",
-    "chunked_csls_top_k",
     "chunked_top_k",
     "cosine_similarity",
     "euclidean_similarity",
@@ -39,7 +33,6 @@ __all__ = [
     "manhattan_similarity",
     "prepare_metric",
     "process_sharded_similarity",
-    "score_shard",
     "similarity_matrix",
     "top_k_indices",
     "top_k_mean",

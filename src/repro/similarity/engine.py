@@ -1,16 +1,19 @@
-"""Parallel similarity engine with cross-matcher score-matrix caching.
+"""Similarity engine: one scoring schedule plus cross-matcher caching.
 
 Every matcher in the paper (Algorithms 3-6) starts from the same "Derive
 similarity matrix S based on E" step, and the experiment harness sweeps
 seven matchers over the *same* unified embeddings — so the seed code
-computed the identical n x n matrix seven times, single-threaded.  The
-:class:`SimilarityEngine` closes both gaps:
+computed the identical n x n matrix seven times.  The
+:class:`SimilarityEngine` computes it once, one way:
 
-* **Parallelism** — the score matrix is computed as independent
-  source-row blocks (:func:`~repro.similarity.metrics.prepare_metric`)
-  scheduled across a thread pool.  numpy/BLAS kernels release the GIL,
-  so threads scale on the cosine/euclidean matmul hot path without
-  process-spawn or pickling overhead.
+* **One schedule** — each computation prepares the metric once
+  (:func:`~repro.similarity.metrics.prepare_metric`: unit rows for
+  cosine, squared norms for euclidean) and scores every ``(rows, cols)``
+  tile of the :func:`~repro.utils.parallel.plan_shards` grid from that
+  kernel, in the calling thread.  With ``workers > 1`` a large problem
+  whose plan has more than one shard runs the same loop on a pool of
+  shard worker processes over shared memory
+  (:mod:`repro.similarity.sharded`).
 * **Precision** — ``dtype="float32"`` computes and stores S in float32,
   halving memory bandwidth and footprint on the n x n working set at
   ~1e-6 relative error (scores only feed rankings, which are far less
@@ -21,15 +24,17 @@ computed the identical n x n matrix seven times, single-threaded.  The
   all seven matchers over shared embeddings computes S exactly once and
   serves six cache hits.
 
-Determinism contract: the chunk grid is a function of the problem shape
-and the chunk policy (``chunk_rows`` / ``chunk_elems``) only, and blocks
-are written to disjoint output rows — so results are bitwise-identical
-across worker counts.  With the default policy, small problems fall into
-a single chunk and the output is bitwise-identical to the serial
+Determinism contract: the shard grid is a function of the problem shape
+and the grid policy (``chunk_rows`` / ``chunk_elems`` /
+``memory_budget`` / ``shard_cols``) only, and tiles are written to
+disjoint parts of the output — so results are bitwise-identical across
+worker counts and between the calling thread and the process pool.
+With the default policy, small problems fall into a single tile and the
+output is bitwise-identical to the serial
 :func:`~repro.similarity.metrics.similarity_matrix`; once a float64
-problem spans multiple chunks, cosine/euclidean values may differ from
-the serial path in the last bits (BLAS summation order varies with block
-height) while Manhattan stays exact.
+problem spans several tiles, cosine/euclidean values may differ from
+the serial path in the last bits (BLAS summation order varies with the
+tile shape) while Manhattan stays exact.
 
 Cached matrices are returned with ``writeable=False`` — every consumer
 of the cache shares one physical matrix, so an accidental in-place
@@ -42,7 +47,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 
@@ -52,20 +57,15 @@ from repro.errors import WorkerCrashedError
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.similarity.chunked import chunked_csls_top_k, chunked_top_k
+from repro.similarity.chunked import chunked_top_k
 from repro.similarity.metrics import prepare_metric
-from repro.similarity.sharded import (
-    PROCESS_MIN_ELEMS,
-    process_sharded_similarity,
-    score_shard,
-)
+from repro.similarity.sharded import PROCESS_MIN_ELEMS, process_sharded_similarity
 from repro.similarity.topk import top_k_indices
 from repro.utils.parallel import (
     DEFAULT_CHUNK_ELEMS,
-    map_chunks,
+    Shard,
     plan_shards,
     resolve_workers,
-    row_chunks,
     rows_per_chunk,
 )
 from repro.utils.validation import check_embedding_matrix, check_shape_compatible
@@ -122,8 +122,13 @@ class SimilarityEngine:
     Parameters
     ----------
     workers:
-        Threads for row-chunked kernels.  ``1`` (default) is fully
-        serial; ``None`` or ``0`` uses all cores.
+        Shard worker processes; ``1`` (default) scores every tile in the
+        calling thread, ``None`` or ``0`` uses all cores.  With more
+        than one worker a computation runs on the process pool only when
+        its plan has more than one shard and it has at least
+        ``process_threshold`` output elements — otherwise the calling
+        thread scores the identical grid.  Scores are bitwise-identical
+        either way.
     dtype:
         Compute/storage precision of S: ``float64`` (default, exact
         match with the serial path) or ``float32`` (half the bandwidth).
@@ -135,24 +140,18 @@ class SimilarityEngine:
         Per-chunk working-set budget in elements; the chunk-size policy
         shared with :func:`~repro.similarity.metrics.manhattan_similarity`.
     chunk_rows:
-        Explicit rows-per-chunk override; ``None`` derives it from
+        Explicit rows-per-shard override; ``None`` derives it from
         ``chunk_elems``.  Part of the determinism contract — results
         depend on the grid, never on ``workers``.
-    backend:
-        ``"thread"`` (default) or ``"process"``.  The process backend
-        runs shard workers over shared memory; it engages only when
-        ``workers > 1``, the problem exceeds ``process_threshold``
-        output elements, and the plan has more than one shard —
-        otherwise threads run the identical shard grid.  Scores are
-        bitwise-identical either way.
     memory_budget:
-        Per-shard working-set budget in bytes.  Setting it switches
-        ``similarity`` onto the 2-D shard grid of
+        Per-shard working-set budget in bytes for the grid of
         :func:`~repro.utils.parallel.plan_shards`.
     shard_cols:
-        Explicit columns-per-shard override for the 2-D grid (also
-        activates it).  Like ``chunk_rows``, part of the grid policy —
-        never worker-dependent.
+        Explicit columns-per-shard override.  Like ``chunk_rows``, part
+        of the grid policy — never worker-dependent.
+    process_threshold:
+        Output elements below which a computation never goes to the
+        process pool.
     """
 
     def __init__(
@@ -163,7 +162,6 @@ class SimilarityEngine:
         cache_size: int = 4,
         chunk_elems: int = DEFAULT_CHUNK_ELEMS,
         chunk_rows: int | None = None,
-        backend: str = "thread",
         memory_budget: int | None = None,
         shard_cols: int | None = None,
         process_threshold: int = PROCESS_MIN_ELEMS,
@@ -177,8 +175,6 @@ class SimilarityEngine:
             raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         if chunk_rows is not None and chunk_rows < 1:
             raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        if backend not in ("thread", "process"):
-            raise ValueError(f"backend must be 'thread' or 'process', got {backend!r}")
         if memory_budget is not None and memory_budget < 1:
             raise ValueError(f"memory_budget must be >= 1 byte, got {memory_budget}")
         if shard_cols is not None and shard_cols < 1:
@@ -187,7 +183,6 @@ class SimilarityEngine:
         self.cache_size = cache_size
         self.chunk_elems = chunk_elems
         self.chunk_rows = chunk_rows
-        self.backend = backend
         self.memory_budget = memory_budget
         self.shard_cols = shard_cols
         self.process_threshold = process_threshold
@@ -195,17 +190,20 @@ class SimilarityEngine:
         self.stats = EngineStats()
         self._cache: OrderedDict[CacheKey, _CacheEntry] = OrderedDict()
         self._lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
         self._process_pool: ProcessPoolExecutor | None = None
         self._last_compute: dict[str, object] = {}
+
+    @property
+    def backend(self) -> str:
+        """``"process"`` when large computations may run on the shard
+        worker pool (``workers > 1``), else ``"thread"``: every tile is
+        scored in the calling thread."""
+        return "process" if self.workers > 1 else "thread"
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the worker pools and drop cached matrices."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Shut down the process pool and drop cached matrices."""
         if self._process_pool is not None:
             self._process_pool.shutdown(wait=True)
             self._process_pool = None
@@ -216,15 +214,6 @@ class SimilarityEngine:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def _executor(self) -> ThreadPoolExecutor | None:
-        if self.workers <= 1:
-            return None
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="simeng"
-            )
-        return self._pool
 
     def _process_executor(self) -> ProcessPoolExecutor:
         if self._process_pool is None:
@@ -254,16 +243,16 @@ class SimilarityEngine:
         pool.shutdown(wait=True, cancel_futures=True)
 
     def degrade_to_threads(self) -> None:
-        """Flip the engine to the thread backend (worker-crash containment).
+        """Drop the engine to ``workers=1`` (worker-crash containment).
 
         Called by the supervisor's process -> thread rung after a
-        :class:`~repro.errors.WorkerCrashedError`: the thread backend
-        runs the identical shard grid with bitwise-identical scores and
-        has no child processes to lose.  The broken process pool is
+        :class:`~repro.errors.WorkerCrashedError`: the calling thread
+        scores the identical shard grid with bitwise-identical scores
+        and has no child processes to lose.  The broken process pool is
         discarded.
         """
         self._discard_process_pool()
-        self.backend = "thread"
+        self.workers = 1
 
     # -- cache ---------------------------------------------------------
 
@@ -313,7 +302,7 @@ class SimilarityEngine:
                         "engine.cache.hit", metric=metric, nbytes=entry.nbytes
                     )
                     return entry.matrix
-            self.stats.misses += 1
+                self.stats.misses += 1
             obs_metrics.get_metrics().inc("engine.cache.misses")
             obs_trace.event("engine.cache.miss", metric=metric)
         scores = self._compute(source, target, metric)
@@ -328,76 +317,11 @@ class SimilarityEngine:
                     obs_metrics.get_metrics().inc("engine.cache.evictions")
         return scores
 
-    @property
-    def _sharded(self) -> bool:
-        """Whether ``similarity`` runs on the 2-D shard grid."""
-        return (
-            self.backend == "process"
-            or self.memory_budget is not None
-            or self.shard_cols is not None
-        )
-
     def _compute(
         self, source: np.ndarray, target: np.ndarray, metric: str
     ) -> np.ndarray:
         source = source.astype(self.dtype, copy=False)
         target = target.astype(self.dtype, copy=False)
-        n_source, n_target = source.shape[0], target.shape[0]
-        with obs_trace.span(
-            "engine.similarity",
-            metric=metric,
-            rows=n_source,
-            cols=n_target,
-            dtype=self.dtype.name,
-            workers=self.workers,
-            backend=self.backend,
-        ) as span:
-            if self._sharded:
-                out, n_chunks = self._compute_sharded(source, target, metric, span)
-            else:
-                kernel = prepare_metric(
-                    metric, source, target, chunk_elems=self.chunk_elems
-                )
-                chunk = self.chunk_rows or rows_per_chunk(n_target, self.chunk_elems)
-                out = np.empty((n_source, n_target), dtype=self.dtype)
-                chunks = row_chunks(n_source, chunk)
-
-                def work(rows: slice) -> None:
-                    # Chunk kernels run on pool threads, so the parent is
-                    # pinned explicitly (the span stack is thread-local).
-                    with obs_trace.span(
-                        "engine.chunk", parent=span, start=rows.start, stop=rows.stop
-                    ):
-                        out[rows] = kernel(rows)
-
-                map_chunks(work, chunks, self.workers, self._executor())
-                n_chunks = len(chunks)
-                self._last_compute = {"backend": "thread", "shards": n_chunks}
-            span.count("chunks", n_chunks)
-        self.stats.computations += 1
-        registry = obs_metrics.get_metrics()
-        registry.inc("engine.computations")
-        registry.inc("engine.chunks", n_chunks)
-        # Once per computed matrix (the cold path only), so the live
-        # stream sees "score matrix ready" without touching the chunk loop.
-        obs_events.emit(
-            "engine.scores_ready",
-            metric=metric,
-            rows=n_source,
-            cols=n_target,
-            dtype=self.dtype.name,
-            chunks=n_chunks,
-        )
-        return out
-
-    def _compute_sharded(
-        self, source: np.ndarray, target: np.ndarray, metric: str, span
-    ) -> tuple[np.ndarray, int]:
-        """Score over the 2-D shard grid, on threads or shard processes.
-
-        Both backends run :func:`~repro.similarity.sharded.score_shard`
-        over the identical plan, so the choice never shows in the bits.
-        """
         n_source, n_target = source.shape[0], target.shape[0]
         plan = plan_shards(
             n_source,
@@ -408,57 +332,76 @@ class SimilarityEngine:
             itemsize=self.dtype.itemsize,
             chunk_elems=self.chunk_elems,
         )
-        use_processes = (
-            self.backend == "process"
-            and self.workers > 1
+        backend = (
+            "process"
+            if self.workers > 1
             and len(plan) > 1
             and n_source * n_target >= self.process_threshold
+            else "thread"
         )
-        if use_processes:
-            try:
-                out, seconds = process_sharded_similarity(
-                    source,
-                    target,
-                    metric,
-                    plan,
-                    pool=self._process_executor(),
-                    chunk_elems=self.chunk_elems,
+        with obs_trace.span(
+            "engine.similarity",
+            metric=metric,
+            rows=n_source,
+            cols=n_target,
+            dtype=self.dtype.name,
+            workers=self.workers,
+            backend=backend,
+        ) as span:
+            if backend == "process":
+                out = self._score_in_processes(source, target, metric, plan)
+            else:
+                kernel = prepare_metric(
+                    metric, source, target, chunk_elems=self.chunk_elems
                 )
-            except WorkerCrashedError:
-                # A broken ProcessPoolExecutor is dead for good — every
-                # later submit would raise.  Discard it so a retry (or
-                # the supervisor's process -> thread rung followed by a
-                # later flip back) starts from a fresh pool.
-                self._discard_process_pool()
-                raise
-            for shard, shard_seconds in zip(plan, seconds):
-                obs_trace.event(
-                    "engine.shard",
-                    backend="process",
-                    rows=f"{shard.rows.start}:{shard.rows.stop}",
-                    cols=f"{shard.cols.start}:{shard.cols.stop}",
-                    seconds=round(shard_seconds, 6),
-                )
-            executed = "process"
-        else:
-            out = np.empty((n_source, n_target), dtype=self.dtype)
+                out = np.empty((n_source, n_target), dtype=self.dtype)
+                for shard in plan:
+                    with obs_trace.span("engine.chunk", **_tile_attrs(shard)):
+                        out[shard.rows, shard.cols] = kernel(shard.rows, shard.cols)
+            span.count("chunks", len(plan))
+        self._last_compute = {"backend": backend, "shards": len(plan)}
+        with self._lock:
+            self.stats.computations += 1
+        registry = obs_metrics.get_metrics()
+        registry.inc("engine.computations")
+        registry.inc("engine.chunks", len(plan))
+        # Once per computed matrix (the cold path only), so the live
+        # stream sees "score matrix ready" without touching the tile loop.
+        obs_events.emit(
+            "engine.scores_ready",
+            metric=metric,
+            rows=n_source,
+            cols=n_target,
+            dtype=self.dtype.name,
+            chunks=len(plan),
+        )
+        return out
 
-            def work(shard) -> None:
-                with obs_trace.span(
-                    "engine.shard",
-                    parent=span,
-                    backend="thread",
-                    rows=f"{shard.rows.start}:{shard.rows.stop}",
-                    cols=f"{shard.cols.start}:{shard.cols.stop}",
-                ):
-                    out[shard.rows, shard.cols] = score_shard(
-                        source, target, metric, shard, self.chunk_elems
-                    )
-
-            map_chunks(work, plan, self.workers, self._executor())
-            executed = "thread"
-        self._last_compute = {"backend": executed, "shards": len(plan)}
-        return out, len(plan)
+    def _score_in_processes(
+        self, source: np.ndarray, target: np.ndarray, metric: str, plan: list[Shard]
+    ) -> np.ndarray:
+        """Score ``plan`` on the shard worker pool; one event per tile."""
+        try:
+            out, seconds = process_sharded_similarity(
+                source,
+                target,
+                metric,
+                plan,
+                pool=self._process_executor(),
+                chunk_elems=self.chunk_elems,
+            )
+        except WorkerCrashedError:
+            # A broken ProcessPoolExecutor is dead for good — every
+            # later submit would raise.  Discard it so a retry (or the
+            # supervisor's process -> thread rung followed by a later
+            # return to several workers) starts from a fresh pool.
+            self._discard_process_pool()
+            raise
+        for shard, shard_seconds in zip(plan, seconds):
+            obs_trace.event(
+                "engine.chunk", seconds=round(shard_seconds, 6), **_tile_attrs(shard)
+            )
+        return out
 
     def resource_info(self) -> dict[str, object]:
         """Backend/worker configuration and last shard count (for ledgers)."""
@@ -472,11 +415,6 @@ class SimilarityEngine:
 
     # -- chunked entry points ------------------------------------------
 
-    def _chunk_size(self, n_target: int, chunk_size: int | None) -> int:
-        if chunk_size is not None:
-            return chunk_size
-        return self.chunk_rows or rows_per_chunk(n_target, self.chunk_elems)
-
     def top_k(
         self,
         source: np.ndarray,
@@ -488,17 +426,14 @@ class SimilarityEngine:
         """Engine-scheduled :func:`~repro.similarity.chunked.chunked_top_k`.
 
         Candidate lists are not cached (they are k/n_target the size of S
-        and cheap to regenerate); the engine contributes its worker pool,
-        dtype, and chunk policy.
+        and cheap to regenerate); the engine contributes its dtype and
+        chunk policy.
         """
+        if chunk_size is None:
+            n_target = np.asarray(target).shape[0]
+            chunk_size = self.chunk_rows or rows_per_chunk(n_target, self.chunk_elems)
         return chunked_top_k(
-            source,
-            target,
-            k,
-            chunk_size=self._chunk_size(np.asarray(target).shape[0], chunk_size),
-            metric=metric,
-            workers=self.workers,
-            dtype=self.dtype,
+            source, target, k, chunk_size=chunk_size, metric=metric, dtype=self.dtype
         )
 
     def top_k_candidates(
@@ -551,36 +486,18 @@ class SimilarityEngine:
             )
         return CandidateSet.from_topk(indices, scores, n_targets=n_target)
 
-    def csls_top_k(
-        self,
-        source: np.ndarray,
-        target: np.ndarray,
-        k: int,
-        csls_k: int = 1,
-        metric: str = "cosine",
-        chunk_size: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Engine-scheduled CSLS top-k.
-
-        A caching engine has already budgeted for holding a full S, so
-        the two CSLS passes share their similarity blocks instead of
-        recomputing them (see ``reuse_blocks`` on
-        :func:`~repro.similarity.chunked.chunked_csls_top_k`).
-        """
-        return chunked_csls_top_k(
-            source,
-            target,
-            k,
-            csls_k=csls_k,
-            chunk_size=self._chunk_size(np.asarray(target).shape[0], chunk_size),
-            metric=metric,
-            workers=self.workers,
-            dtype=self.dtype,
-            reuse_blocks=True if self.cache_enabled else None,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SimilarityEngine(workers={self.workers}, dtype={self.dtype.name!r}, "
             f"cache={self.cache_enabled}, cache_size={self.cache_size})"
         )
+
+
+def _tile_attrs(shard: Shard) -> dict[str, int]:
+    """Trace attributes of one tile: its row and column ranges."""
+    return {
+        "start": shard.rows.start,
+        "stop": shard.rows.stop,
+        "col_start": shard.cols.start,
+        "col_stop": shard.cols.stop,
+    }

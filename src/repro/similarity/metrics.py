@@ -6,13 +6,14 @@ are negated so downstream code never has to branch on metric direction.
 
 Each metric is factored into a *prepared kernel* (:func:`prepare_metric`):
 a one-time preparation over the full inputs (row normalisation, squared
-norms) plus a function that computes any row block of ``S``.  The public
-functions compute the single full-matrix block; the chunked helpers and
-the :class:`~repro.similarity.engine.SimilarityEngine` schedule many
-blocks, serially or across threads.  Preparation is row-independent, so
-a block's values do not depend on how the rows were chunked — except for
-the BLAS matmul inside the cosine/euclidean kernels, whose summation
-order may vary with the block height (documented on the engine).
+norms) plus a function that computes any ``(rows, cols)`` tile of ``S``
+(``cols`` defaults to every target).  The public functions compute the
+single full-matrix block; the chunked helpers and the
+:class:`~repro.similarity.engine.SimilarityEngine` prepare once and
+score many tiles.  Preparation is row-independent, so a tile's values
+do not depend on how the grid was cut — except for the BLAS matmul
+inside the cosine/euclidean kernels, whose summation order may vary
+with the tile shape (documented on the engine).
 :func:`prepare_stable_metric` is the matmul-free counterpart whose every
 value depends on its (source, target) pair alone.
 
@@ -32,8 +33,9 @@ from repro.utils.validation import check_embedding_matrix, check_shape_compatibl
 
 _EPS = 1e-12
 
-#: A prepared kernel: maps a source-row slice to that block of ``S``.
-BlockKernel = Callable[[slice], np.ndarray]
+#: A prepared kernel: maps a source-row slice (and optionally a
+#: target-column slice, default all columns) to that tile of ``S``.
+BlockKernel = Callable[..., np.ndarray]
 
 
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -68,8 +70,8 @@ def _prepare_cosine(source: np.ndarray, target: np.ndarray) -> BlockKernel:
     normalized_source = normalize_rows(source)
     normalized_target_t = normalize_rows(target).T
 
-    def block(rows: slice) -> np.ndarray:
-        return normalized_source[rows] @ normalized_target_t
+    def block(rows: slice, cols: slice = slice(None)) -> np.ndarray:
+        return normalized_source[rows] @ normalized_target_t[:, cols]
 
     return block
 
@@ -80,9 +82,9 @@ def _prepare_euclidean(source: np.ndarray, target: np.ndarray) -> BlockKernel:
     sq_source = np.sum(source**2, axis=1)
     sq_target = np.sum(target**2, axis=1)
 
-    def block(rows: slice) -> np.ndarray:
-        squared = sq_source[rows, None] + sq_target[None, :]
-        squared -= 2.0 * (source[rows] @ target.T)
+    def block(rows: slice, cols: slice = slice(None)) -> np.ndarray:
+        squared = sq_source[rows, None] + sq_target[None, cols]
+        squared -= 2.0 * (source[rows] @ target[cols].T)
         np.maximum(squared, 0.0, out=squared)
         np.sqrt(squared, out=squared)
         np.negative(squared, out=squared)
@@ -99,7 +101,7 @@ def prepare_metric(
 ) -> BlockKernel:
     """One-time preparation of ``metric`` over validated inputs.
 
-    Returns a kernel computing any source-row block of ``S``.  Inputs
+    Returns a kernel computing any ``(rows, cols)`` tile of ``S``.  Inputs
     must already be validated and dtype-cast by the caller — this is the
     engine-facing seam below the public API.  ``chunk_elems`` bounds the
     broadcast intermediate of metrics without a matmul form (Manhattan).
@@ -166,40 +168,40 @@ def prepare_stable_metric(
     order varies with the block shape.  So a pair scores bitwise the
     same whichever queries share the block and whichever targets share
     the call — the determinism base of the serving layer (DESIGN.md
-    §12).  ``chunk_elems`` bounds the ``rows x n_target x dim``
+    §12).  ``chunk_elems`` bounds the ``rows x n_cols x dim``
     intermediate.
     """
     if metric == "cosine":
         source = normalize_each_row(source)
         target = normalize_rows(target)
 
-        def pairs(sub: np.ndarray) -> np.ndarray:
-            return pair_dots(target[None, :, :], sub[:, None, :])
+        def pairs(sub: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+            return pair_dots(tgt[None, :, :], sub[:, None, :])
 
     elif metric == "euclidean":
 
-        def pairs(sub: np.ndarray) -> np.ndarray:
-            squared = ((target[None, :, :] - sub[:, None, :]) ** 2).sum(axis=2)
+        def pairs(sub: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+            squared = ((tgt[None, :, :] - sub[:, None, :]) ** 2).sum(axis=2)
             return -np.sqrt(np.maximum(squared, 0.0))
 
     elif metric == "manhattan":
 
-        def pairs(sub: np.ndarray) -> np.ndarray:
-            return -np.abs(target[None, :, :] - sub[:, None, :]).sum(axis=2)
+        def pairs(sub: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+            return -np.abs(tgt[None, :, :] - sub[:, None, :]).sum(axis=2)
 
     else:
         known = ", ".join(sorted(SIMILARITY_METRICS))
         raise ValueError(
             f"unknown similarity metric {metric!r}; known metrics: {known}"
         )
-    inner_rows = rows_per_chunk(target.shape[0] * target.shape[1], chunk_elems)
 
-    def block(rows: slice) -> np.ndarray:
-        sub = source[rows]
-        result = np.empty((sub.shape[0], target.shape[0]), dtype=sub.dtype)
+    def block(rows: slice, cols: slice = slice(None)) -> np.ndarray:
+        sub, tgt = source[rows], target[cols]
+        result = np.empty((sub.shape[0], tgt.shape[0]), dtype=sub.dtype)
+        inner_rows = rows_per_chunk(tgt.shape[0] * tgt.shape[1], chunk_elems)
         for start in range(0, sub.shape[0], inner_rows):
             stop = min(start + inner_rows, sub.shape[0])
-            result[start:stop] = pairs(sub[start:stop])
+            result[start:stop] = pairs(sub[start:stop], tgt)
         return result
 
     return block

@@ -1,19 +1,17 @@
 """Process-backed shard execution over ``multiprocessing.shared_memory``.
 
-The thread backend is the right default: numpy/BLAS kernels release the
-GIL, so threads scale without copying anything.  A process pool earns
-its keep only when the GIL-holding share of a shard (fancy indexing,
-Python-level prep) dominates, or when the platform's BLAS refuses to
-run concurrently — so the engine routes to this module only above a
-size threshold and on explicit request.
+Scoring in the calling thread is the right default: it copies nothing
+and spawns nothing.  A process pool earns its keep only when several
+cores are free and the problem is large, so the engine routes here only
+when ``workers > 1``, the plan has more than one shard and the problem
+reaches a size threshold.
 
-Determinism: both backends execute :func:`score_shard` — the same
-per-shard math — over the same planner grid, and each shard writes a
-disjoint output tile.  Metric preparation is row-independent (cosine
-normalisation, squared norms), so a shard's block depends only on its
-own rows and columns, never on the executor.  Scores are therefore
-bitwise-identical across worker counts *and* across thread/process
-backends.
+Determinism: each worker prepares the metric over the full source and
+target once per computation — exactly the preparation the engine makes
+in process — and scores its shards with that kernel's ``(rows, cols)``
+tiles.  Each shard writes a disjoint output tile, so scores are
+bitwise-identical to the in-process loop over the same plan, at every
+worker count.
 
 Mechanics: the parent copies source, target, and the output buffer into
 ``multiprocessing.shared_memory`` segments once per computation; workers
@@ -33,12 +31,12 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.errors import WorkerCrashedError
-from repro.similarity.metrics import prepare_metric
+from repro.similarity.metrics import BlockKernel, prepare_metric
 from repro.utils.parallel import DEFAULT_CHUNK_ELEMS, Shard
 
 #: Output elements below which the engine never routes to processes:
 #: pool spawn plus three shared-memory copies cost more than just
-#: scoring this many elements on threads.
+#: scoring this many elements in the calling thread.
 PROCESS_MIN_ELEMS = 2**22
 
 
@@ -51,32 +49,13 @@ class _ShmSpec:
     dtype: str
 
 
-def score_shard(
-    source: np.ndarray,
-    target: np.ndarray,
-    metric: str,
-    shard: Shard,
-    chunk_elems: int = DEFAULT_CHUNK_ELEMS,
-) -> np.ndarray:
-    """Score one shard: ``source[shard.rows]`` against ``target[shard.cols]``.
-
-    The single definition of per-shard math, shared by the thread and
-    process backends — which is what makes backend choice invisible to
-    the numbers.
-    """
-    kernel = prepare_metric(
-        metric, source[shard.rows], target[shard.cols], chunk_elems=chunk_elems
-    )
-    return kernel(slice(0, shard.rows.stop - shard.rows.start))
-
-
 # -- worker side -------------------------------------------------------
 
 #: Per-worker-process attachment cache: segment name -> open handle.
 #: Attaching is a syscall + mmap; shards from one computation share the
 #: same three segments, so caching pays immediately.  Stale entries are
-#: pruned at the start of each task so segments from a previous
-#: computation do not pin pages for the life of the pool.
+#: pruned at a worker's first task of each computation so segments from
+#: a previous computation do not pin pages for the life of the pool.
 _ATTACHED: dict[str, shared_memory.SharedMemory] = {}
 
 
@@ -86,6 +65,12 @@ def _attach(spec: _ShmSpec) -> np.ndarray:
         segment = shared_memory.SharedMemory(name=spec.name)
         _ATTACHED[spec.name] = segment
     return np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=segment.buf)
+
+
+#: Per-worker-process prepared kernel of the current computation, keyed
+#: by its segment names, metric and chunk budget: a worker prepares the
+#: metric once per computation, not once per shard.
+_KERNEL: dict[tuple[str, str, str, int], BlockKernel] = {}
 
 
 def _prune_attachments(keep: frozenset[str]) -> None:
@@ -98,12 +83,21 @@ def _run_shard(
 ) -> float:
     """Worker entry point: score one shard, write its tile, return seconds."""
     source_spec, target_spec, out_spec, metric, chunk_elems, shard = task
-    _prune_attachments(frozenset((source_spec.name, target_spec.name, out_spec.name)))
     started = time.perf_counter()
-    source = _attach(source_spec)
-    target = _attach(target_spec)
+    key = (source_spec.name, target_spec.name, metric, chunk_elems)
+    kernel = _KERNEL.get(key)
+    if kernel is None:
+        # Drop the last computation's kernel first: it may hold views
+        # into the segments about to be closed.
+        _KERNEL.clear()
+        _prune_attachments(
+            frozenset((source_spec.name, target_spec.name, out_spec.name))
+        )
+        kernel = _KERNEL[key] = prepare_metric(
+            metric, _attach(source_spec), _attach(target_spec), chunk_elems
+        )
     out = _attach(out_spec)
-    out[shard.rows, shard.cols] = score_shard(source, target, metric, shard, chunk_elems)
+    out[shard.rows, shard.cols] = kernel(shard.rows, shard.cols)
     return time.perf_counter() - started
 
 

@@ -1,27 +1,24 @@
-"""Thread-pool scheduling for row-chunked numpy kernels.
+"""Work-grid policies shared by the chunked numpy kernels.
 
-The similarity hot path is numpy/BLAS matrix algebra, which releases the
-GIL, so plain threads give near-linear speedup without the pickling and
-memory-duplication costs of processes.  This module centralises the
-three policies every chunked kernel shares:
+This module centralises the policies every chunked kernel shares:
 
-* :func:`resolve_workers` — how many threads a ``workers`` setting means;
+* :func:`resolve_workers` — how many worker processes a ``workers``
+  setting means;
 * :func:`rows_per_chunk` / :func:`row_chunks` — how a row range is cut
   into independent work items (the *chunk grid*);
-* :func:`map_chunks` — how the work items are scheduled.
+* :func:`plan_shards` — the 2-D grid of row x column tiles the
+  similarity engine scores.
 
-Determinism contract: the chunk grid is a function of the problem shape
-and the chunk policy only — never of the worker count.  Results are
-combined in chunk order, so a kernel scheduled over 1, 2, or 4 workers
-produces bitwise-identical output for the same grid.
+Determinism contract: a grid is a function of the problem shape and the
+chunk policy only — never of the worker count — and every tile owns a
+disjoint part of the output, so results are bitwise-identical whoever
+scores the tiles.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
 
 #: Default per-chunk working-set budget, in array *elements* (not bytes).
 #: At float64 this is 32 MiB per chunk — big enough that BLAS runs at
@@ -35,12 +32,9 @@ DEFAULT_CHUNK_ELEMS = 2**22
 #: so the planner's grid stays independent of scheduling.
 SHARD_BUDGET_FACTOR = 4
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
 
 def resolve_workers(workers: int | None) -> int:
-    """Normalise a ``workers`` setting to a concrete thread count.
+    """Normalise a ``workers`` setting to a concrete worker count.
 
     ``None`` or ``0`` means "all available cores"; any positive integer
     is taken literally; negatives are rejected.
@@ -123,8 +117,8 @@ def plan_shards(
     ``chunk_cols`` override the derived tile sides.
 
     Same determinism contract as the 1-D grid: the plan is a function of
-    the problem shape and this policy only — never of worker count or
-    backend — and shards are emitted in row-major order.
+    the problem shape and this policy only — never of the worker count —
+    and shards are emitted in row-major order.
     """
     if n_rows < 0 or n_cols < 0:
         raise ValueError(f"shape must be non-negative, got ({n_rows}, {n_cols})")
@@ -144,29 +138,3 @@ def plan_shards(
         for rows in row_chunks(n_rows, rows_per)
         for cols in row_chunks(n_cols, cols_per)
     ]
-
-
-def map_chunks(
-    func: Callable[[_T], _R],
-    items: Sequence[_T] | Iterable[_T],
-    workers: int | None = 1,
-    pool: ThreadPoolExecutor | None = None,
-) -> list[_R]:
-    """Apply ``func`` to every item, possibly across a thread pool.
-
-    Results come back in item order regardless of scheduling, which is
-    what makes worker count invisible to downstream numerics.  With one
-    worker (and no external ``pool``) no pool is created at all — the
-    serial path has zero threading overhead.
-
-    ``pool`` lets a long-lived owner (the similarity engine) reuse its
-    executor across calls instead of paying pool startup per call.
-    """
-    items = list(items)
-    if pool is not None:
-        return list(pool.map(func, items))
-    n_workers = resolve_workers(workers)
-    if n_workers <= 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(n_workers, len(items))) as executor:
-        return list(executor.map(func, items))

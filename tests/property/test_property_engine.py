@@ -1,11 +1,11 @@
 """Property-based tests: the engine is a pure scheduling change.
 
 The determinism contract of :class:`SimilarityEngine` is that chunking
-and threading are invisible to the numerics: for any metric, worker
-count, and (odd) chunk size, the engine's float64 output equals the
-serial :func:`similarity_matrix` result, and float32 output matches to
-single-precision tolerance.  The same must hold for the chunked top-k
-helpers the engine schedules.
+and the worker count are invisible to the numerics: for any metric,
+worker count, and (odd) chunk size, the engine's float64 output equals
+the serial :func:`similarity_matrix` result, and float32 output matches
+to single-precision tolerance.  The same must hold for the chunked top-k
+kernel the engine schedules.
 
 Float64 equality is asserted bitwise under the default chunk policy
 (where the grid is a single chunk and even the BLAS calls are shared)
@@ -20,8 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.csls import csls_scores
-from repro.similarity.chunked import chunked_csls_top_k, chunked_top_k
 from repro.similarity.engine import SimilarityEngine
 from repro.similarity.metrics import similarity_matrix
 from repro.similarity.topk import top_k_values
@@ -106,52 +104,20 @@ class TestChunkedEqualsSerial:
     @settings(max_examples=10, deadline=None)
     def test_top_k_float64(self, workers, chunk_size, matrices, k):
         source, target = matrices
-        _, scores = chunked_top_k(
-            source, target, k=k, chunk_size=chunk_size, workers=workers
-        )
+        with SimilarityEngine(workers=workers) as engine:
+            _, scores = engine.top_k(source, target, k, chunk_size=chunk_size)
         dense = similarity_matrix(source, target)
         np.testing.assert_allclose(
             scores, top_k_values(dense, min(k, target.shape[0])), atol=1e-12
         )
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    @pytest.mark.parametrize("reuse_blocks", [False, True])
-    @given(embedding_pairs(), st.integers(1, 3))
-    @settings(max_examples=10, deadline=None)
-    def test_csls_top_k_float64(self, workers, reuse_blocks, matrices, csls_k):
-        source, target = matrices
-        indices, scores = chunked_csls_top_k(
-            source, target, k=2, csls_k=csls_k, chunk_size=5,
-            workers=workers, reuse_blocks=reuse_blocks,
-        )
-        dense = csls_scores(similarity_matrix(source, target), k=csls_k)
-        np.testing.assert_allclose(
-            scores, top_k_values(dense, min(2, target.shape[0])), atol=1e-9
-        )
-
-    @given(embedding_pairs(), st.integers(1, 4))
-    @settings(max_examples=15, deadline=None)
-    def test_csls_block_reuse_is_invisible(self, matrices, k):
-        # The satellite fix: replaying pass-1 blocks must be numerically
-        # identical to recomputing them in pass 2.
-        source, target = matrices
-        kept = chunked_csls_top_k(
-            source, target, k=k, chunk_size=3, reuse_blocks=True
-        )
-        recomputed = chunked_csls_top_k(
-            source, target, k=k, chunk_size=3, reuse_blocks=False
-        )
-        np.testing.assert_array_equal(kept[0], recomputed[0])
-        np.testing.assert_array_equal(kept[1], recomputed[1])
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @given(embedding_pairs(), st.integers(1, 5))
     @settings(max_examples=10, deadline=None)
     def test_top_k_float32(self, workers, matrices, k):
         source, target = matrices
-        _, scores = chunked_top_k(
-            source, target, k=k, chunk_size=3, workers=workers, dtype=np.float32
-        )
+        with SimilarityEngine(workers=workers, dtype=np.float32) as engine:
+            _, scores = engine.top_k(source, target, k, chunk_size=3)
         assert scores.dtype == np.float32
         dense = similarity_matrix(source, target)
         np.testing.assert_allclose(

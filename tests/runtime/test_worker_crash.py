@@ -51,7 +51,7 @@ class TestThreadRungInProcess:
 
     def _supervised(self, injector, **policy_kwargs):
         source, target = _embeddings()
-        engine = SimilarityEngine(backend="process", workers=2)
+        engine = SimilarityEngine(workers=2)
         matcher = injector.install(DInf())
         matcher.engine = engine
         supervisor = RunSupervisor(SupervisorPolicy(**policy_kwargs))
@@ -72,7 +72,7 @@ class TestThreadRungInProcess:
     def test_rung_result_matches_thread_backend_bitwise(self):
         source, target = _embeddings()
         run, _ = self._supervised(KilledWorkerInjector(failures=1))
-        with SimilarityEngine(backend="thread") as engine:
+        with SimilarityEngine() as engine:
             clean = DInf()
             clean.engine = engine
             expected = clean.match(source, target)
@@ -92,7 +92,7 @@ class TestThreadRungInProcess:
 
     def test_thread_backend_crash_is_not_flipped(self):
         source, target = _embeddings()
-        with SimilarityEngine(backend="thread") as engine:
+        with SimilarityEngine() as engine:
             matcher = KilledWorkerInjector(failures=1).install(DInf())
             matcher.engine = engine
             with pytest.raises(WorkerCrashedError):
@@ -200,9 +200,7 @@ class TestRealWorkerKill:
 
     def test_engine_discards_broken_pool_and_recovers_via_supervisor(self):
         source, target = _embeddings(n=48, d=8)
-        engine = SimilarityEngine(
-            backend="process", workers=2, process_threshold=0, chunk_rows=16
-        )
+        engine = SimilarityEngine(workers=2, process_threshold=0, chunk_rows=16)
         try:
             # Break the engine's own pool with a real kill, then run a
             # supervised matcher: first attempt dies typed, the thread
@@ -219,7 +217,7 @@ class TestRealWorkerKill:
             assert run.ok
             assert run.chain == ["DInf", "DInf+thread"]
             assert engine.backend == "thread"
-            with SimilarityEngine(backend="thread") as reference:
+            with SimilarityEngine() as reference:
                 clean = DInf()
                 clean.engine = reference
                 np.testing.assert_array_equal(

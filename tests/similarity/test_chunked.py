@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.csls import csls_scores
-from repro.similarity.chunked import chunked_argmax, chunked_csls_top_k, chunked_top_k
+from repro.similarity.chunked import chunked_top_k
 from repro.similarity.metrics import similarity_matrix
-from repro.similarity.topk import top_k_indices, top_k_values
+from repro.similarity.topk import top_k_values
 
 
 @pytest.fixture()
@@ -53,36 +52,10 @@ class TestChunkedTopK:
 
 class TestChunkedArgmax:
     def test_equals_dense_argmax(self, embeddings):
+        # The greedy (DInf) decision without the full matrix is the
+        # best-first column of a streamed k=1 top-k.
         source, target = embeddings
-        indices, scores = chunked_argmax(source, target, chunk_size=10)
+        indices, scores = chunked_top_k(source, target, k=1, chunk_size=10)
         dense = similarity_matrix(source, target)
-        np.testing.assert_array_equal(indices, dense.argmax(axis=1))
-        np.testing.assert_allclose(scores, dense.max(axis=1), atol=1e-12)
-
-
-class TestChunkedCsls:
-    @pytest.mark.parametrize("chunk_size", [5, 19, 1024])
-    @pytest.mark.parametrize("csls_k", [1, 3])
-    def test_matches_dense_csls(self, embeddings, chunk_size, csls_k):
-        source, target = embeddings
-        indices, scores = chunked_csls_top_k(
-            source, target, k=4, csls_k=csls_k, chunk_size=chunk_size
-        )
-        dense = csls_scores(similarity_matrix(source, target), k=csls_k)
-        np.testing.assert_allclose(scores, top_k_values(dense, 4), atol=1e-9)
-        np.testing.assert_array_equal(
-            indices[:, 0], top_k_indices(dense, 1)[:, 0]
-        )
-
-    def test_greedy_decisions_match_csls_matcher(self, embeddings):
-        from repro.core.csls import CSLS
-
-        source, target = embeddings
-        indices, _ = chunked_csls_top_k(source, target, k=1, csls_k=1, chunk_size=8)
-        result = CSLS(k=1).match(source, target)
-        np.testing.assert_array_equal(indices[:, 0], result.pairs[:, 1])
-
-    def test_invalid_params(self, embeddings):
-        source, target = embeddings
-        with pytest.raises(ValueError, match="k and csls_k"):
-            chunked_csls_top_k(source, target, k=0)
+        np.testing.assert_array_equal(indices[:, 0], dense.argmax(axis=1))
+        np.testing.assert_allclose(scores[:, 0], dense.max(axis=1), atol=1e-12)

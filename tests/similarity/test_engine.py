@@ -1,4 +1,7 @@
-"""Tests for the parallel similarity engine and its score-matrix cache."""
+"""Tests for the similarity engine and its score-matrix cache."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -141,6 +144,33 @@ class TestEngineCache:
             assert engine.stats.computations == 2
 
 
+class TestEngineCounters:
+    def test_counters_consistent_under_concurrent_calls(self, rng):
+        # The serving daemon runs concurrent requests through one shared
+        # engine; every call is exactly one hit or one miss, and every
+        # miss is exactly one computation.
+        sources = [rng.normal(size=(8, 4)) for _ in range(3)]
+        target = rng.normal(size=(8, 4))
+        threads, calls = 8, 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with SimilarityEngine(cache_size=1) as engine:
+
+                def work(offset):
+                    for call in range(calls):
+                        engine.similarity(sources[(call + offset) % 3], target)
+
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    list(pool.map(work, range(threads)))
+                stats = engine.stats
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats.hits + stats.misses == threads * calls
+        assert stats.computations == stats.misses
+        assert stats.hits > 0 and stats.misses > 0
+
+
 class TestEngineChunkedEntryPoints:
     def test_top_k_matches_dense(self, embeddings):
         from repro.similarity.topk import top_k_values
@@ -150,16 +180,6 @@ class TestEngineChunkedEntryPoints:
             _, scores = engine.top_k(source, target, k=5, chunk_size=7)
         dense = similarity_matrix(source, target)
         np.testing.assert_allclose(scores, top_k_values(dense, 5), atol=1e-12)
-
-    def test_csls_top_k_matches_dense(self, embeddings):
-        from repro.core.csls import csls_scores
-        from repro.similarity.topk import top_k_values
-
-        source, target = embeddings
-        with SimilarityEngine(workers=2) as engine:
-            _, scores = engine.csls_top_k(source, target, k=3, csls_k=2, chunk_size=11)
-        dense = csls_scores(similarity_matrix(source, target), k=2)
-        np.testing.assert_allclose(scores, top_k_values(dense, 3), atol=1e-9)
 
     def test_top_k_candidates_matches_streamed_kernel(self, embeddings):
         from repro.similarity.chunked import chunked_top_k

@@ -1,13 +1,9 @@
-"""Tests for the thread-pool chunk scheduling utilities."""
-
-import threading
-from concurrent.futures import ThreadPoolExecutor
+"""Tests for the chunk-grid utilities."""
 
 import pytest
 
 from repro.utils.parallel import (
     DEFAULT_CHUNK_ELEMS,
-    map_chunks,
     resolve_workers,
     row_chunks,
     rows_per_chunk,
@@ -59,28 +55,3 @@ class TestRowChunks:
     def test_invalid(self):
         with pytest.raises(ValueError, match="chunk_rows"):
             row_chunks(10, 0)
-
-
-class TestMapChunks:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_order_preserved(self, workers):
-        items = list(range(20))
-        assert map_chunks(lambda x: x * x, items, workers) == [x * x for x in items]
-
-    def test_serial_path_uses_calling_thread(self):
-        seen = []
-        map_chunks(lambda _: seen.append(threading.current_thread()), [1, 2], 1)
-        assert all(thread is threading.main_thread() for thread in seen)
-
-    def test_external_pool_reused(self):
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            result = map_chunks(lambda x: x + 1, [1, 2, 3], workers=1, pool=pool)
-        assert result == [2, 3, 4]
-
-    def test_parallel_actually_runs_in_workers(self):
-        names = map_chunks(
-            lambda _: threading.current_thread() is threading.main_thread(),
-            list(range(8)),
-            workers=4,
-        )
-        assert not any(names)
