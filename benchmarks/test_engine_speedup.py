@@ -1,11 +1,12 @@
 """Similarity-engine benchmark: worker scaling and cache payoff.
 
-Records wall-clock for the parallel score-matrix computation at 1/2/4
-workers and for a cold versus cached seven-matcher sweep, into
-``benchmarks/results/BENCH_engine.json``.  Timing is *recorded*, never
-asserted — hardware varies (a single-core CI box shows no thread
-speedup at all); the assertions cover the structural guarantees only:
-parallel results match serial exactly, and a cached sweep performs
+Records wall-clock for the score-matrix computation at 1/2/4 workers
+and for a cold versus cached seven-matcher sweep, into
+``benchmarks/results/BENCH_engine.json``.  At this size every worker
+count stays below the engine's process threshold, so all three run the
+same in-thread loop.  Timing is *recorded*, never asserted — hardware
+varies; the assertions cover the structural guarantees only: results
+match across worker counts exactly, and a cached sweep performs
 exactly one similarity computation.
 """
 
