@@ -5,12 +5,12 @@
 
 PY := PYTHONPATH=src python -m
 
-.PHONY: check lint test property obs serve test-serve chaos chaos-crash \
+.PHONY: check lint test property obs serve test-serve chaos \
 	bench bench-obs bench-serve bench-check bench-scale-smoke soak-smoke \
 	perfbench-smoke drift reference-update loc
 
 check: lint
-	$(PY) pytest -q -m "not chaos and not chaos_crash"
+	$(PY) pytest -q -m "not chaos"
 
 # Ruff config lives in pyproject.toml.  The local toolchain may not
 # ship ruff; skip with a notice rather than fail (CI always runs it).
@@ -40,11 +40,6 @@ serve: test-serve
 
 chaos:
 	$(PY) pytest -q -m chaos
-
-# Crash-recovery matrix: torn writes, SIGKILL'd pool workers, and
-# kill-resume round trips (real process spawns, so slower than tier-1).
-chaos-crash:
-	$(PY) pytest -q -m chaos_crash
 
 bench:
 	cd benchmarks && PYTHONPATH=../src python -m pytest -q

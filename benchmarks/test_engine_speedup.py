@@ -1,13 +1,12 @@
-"""Similarity-engine benchmark: worker scaling and cache payoff.
+"""Similarity-engine benchmark: the tile loop and the cache payoff.
 
-Records wall-clock for the score-matrix computation at 1/2/4 workers
-and for a cold versus cached seven-matcher sweep, into
-``benchmarks/results/BENCH_engine.json``.  At this size every worker
-count stays below the engine's process threshold, so all three run the
-same in-thread loop.  Timing is *recorded*, never asserted — hardware
-varies; the assertions cover the structural guarantees only: results
-match across worker counts exactly, and a cached sweep performs
-exactly one similarity computation.
+Records wall-clock for one cold score-matrix computation (float64 and
+float32) and for a cold versus cached seven-matcher sweep, into
+``benchmarks/results/BENCH_engine.json``.  Timing is *recorded*, never
+asserted — hardware varies; the assertions cover the structural
+guarantees only: float32 scores stay within single-precision tolerance
+of float64, and a cached sweep performs exactly one similarity
+computation.
 """
 
 import json
@@ -38,34 +37,23 @@ def _timed(func):
     return result, time.perf_counter() - start
 
 
-def test_engine_worker_scaling_and_cache_payoff():
+def test_engine_similarity_and_cache_payoff():
     source, target = _embeddings()
     record = {
         "n_entities": N_ENTITIES,
         "dim": DIM,
         "chunk_rows": CHUNK_ROWS,
-        "similarity_seconds_by_workers": {},
+        "similarity_seconds": None,
         "float32_seconds": None,
         "sweep": {},
     }
 
-    # Worker scaling on the cold similarity computation (fixed chunk
-    # grid, so every run computes bitwise-identical scores).
-    reference = None
-    for workers in (1, 2, 4):
-        with SimilarityEngine(
-            workers=workers, cache=False, chunk_rows=CHUNK_ROWS
-        ) as engine:
-            scores, seconds = _timed(lambda: engine.similarity(source, target))
-        record["similarity_seconds_by_workers"][str(workers)] = seconds
-        if reference is None:
-            reference = scores
-        else:
-            np.testing.assert_array_equal(scores, reference)
+    # The cold similarity computation on a fixed chunk grid.
+    with SimilarityEngine(cache=False, chunk_rows=CHUNK_ROWS) as engine:
+        reference, seconds = _timed(lambda: engine.similarity(source, target))
+    record["similarity_seconds"] = seconds
 
-    with SimilarityEngine(
-        workers=4, dtype="float32", cache=False, chunk_rows=CHUNK_ROWS
-    ) as engine:
+    with SimilarityEngine(dtype="float32", cache=False, chunk_rows=CHUNK_ROWS) as engine:
         scores32, seconds = _timed(lambda: engine.similarity(source, target))
     record["float32_seconds"] = seconds
     np.testing.assert_allclose(scores32, reference, atol=1e-4)
@@ -81,10 +69,10 @@ def test_engine_worker_scaling_and_cache_payoff():
             matcher.engine = engine
             matcher.match(source, target)
 
-    with SimilarityEngine(workers=1, cache=False, chunk_rows=CHUNK_ROWS) as engine:
+    with SimilarityEngine(cache=False, chunk_rows=CHUNK_ROWS) as engine:
         _, cold_seconds = _timed(lambda: sweep(engine))
         cold_computations = engine.stats.computations
-    with SimilarityEngine(workers=1, cache=True, chunk_rows=CHUNK_ROWS) as engine:
+    with SimilarityEngine(cache=True, chunk_rows=CHUNK_ROWS) as engine:
         _, cached_seconds = _timed(lambda: sweep(engine))
         cached_stats = engine.stats.as_dict()
 

@@ -120,7 +120,7 @@ def test_disabled_tracing_overhead_under_budget():
     record = {"budget_ratio": OVERHEAD_BUDGET, "repeats": REPEATS, "paths": {}}
 
     # -- engine similarity: one span + N chunk spans per computation ----
-    with SimilarityEngine(workers=1, cache=False, chunk_rows=ENGINE_CHUNK) as engine:
+    with SimilarityEngine(cache=False, chunk_rows=ENGINE_CHUNK) as engine:
         np.testing.assert_allclose(  # same work before timing it
             engine.similarity(source, target), _reference_similarity(source, target)
         )

@@ -135,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="embedding regime (R/G/N/NR/gcn/rrea)")
     match.add_argument("--matcher", default="DInf", choices=available_matchers())
     match.add_argument("--scale", type=float, default=1.0)
-    match.add_argument("--workers", type=int, default=1,
-                       help="shard worker processes; 1 runs in the calling "
-                            "thread (0 = all cores)")
     match.add_argument("--shard-rows", type=int, default=None, metavar="ROWS",
                        help="rows per similarity shard (default: sized from "
                             "the chunk/memory budget)")
@@ -422,7 +419,6 @@ def _run_match(
     regime: str,
     matcher_name: str,
     scale: float,
-    workers: int = 1,
     dtype: str = "float64",
     no_cache: bool = False,
     policy: SupervisorPolicy | None = None,
@@ -467,7 +463,6 @@ def _run_match(
         RunLedger(ledger_path, durable=durable) if ledger_path is not None else None
     )
     with SimilarityEngine(
-        workers=workers,
         dtype=dtype,
         cache=not no_cache,
         memory_budget=policy.memory_budget,
@@ -532,7 +527,7 @@ def _run_match(
             print(f"  index: kind={index_config.kind} k={index_config.k} "
                   f"nnz={candidate_set.nnz} "
                   f"recall={candidate_set.recall(gold_pairs):.3f}")
-        print(f"  engine: workers={engine.workers} dtype={engine.dtype.name} "
+        print(f"  engine: dtype={engine.dtype.name} "
               f"cache={engine.cache_info()}")
         profile_written: Path | None = None
         if profile_path is not None:
@@ -545,7 +540,6 @@ def _run_match(
                     "matcher": matcher_name,
                     "executed": executed,
                     "scale": scale,
-                    "workers": engine.workers,
                     "dtype": engine.dtype.name,
                 },
             )
@@ -1164,7 +1158,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             return _run_match(
                 args.preset, args.regime, args.matcher, args.scale,
-                workers=args.workers, dtype=args.dtype, no_cache=args.no_cache,
+                dtype=args.dtype, no_cache=args.no_cache,
                 policy=_match_policy(args), profile_path=args.profile,
                 index_config=_match_index_config(args),
                 ledger_path=args.ledger, events_spec=args.events,

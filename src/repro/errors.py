@@ -128,31 +128,6 @@ class DeadlineExceeded(MatcherError):
         self.deadline_seconds = deadline_seconds
 
 
-class WorkerCrashedError(MatcherError):
-    """A shard worker process died mid-computation (SIGKILL, OOM kill...).
-
-    Raised by the shared-memory process backend when the pool reports a
-    dead worker (nonzero exit code or a broken pipe) instead of letting
-    the parent hang on results that will never arrive.  Not retryable as
-    such — repeating the identical process-backed work risks the same
-    kill — but the supervisor's process -> thread rung reruns the *same*
-    matcher on the thread backend (bitwise-identical numbers, no child
-    processes to lose), recorded as ``"<name>+thread"`` in the chain.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        backend: str = "process",
-        exitcodes: tuple[int, ...] = (),
-        **kwargs: Any,
-    ) -> None:
-        super().__init__(message, **kwargs)
-        self.backend = backend
-        self.exitcodes = tuple(exitcodes)
-
-
 class DataIntegrityError(MatcherError, ValueError):
     """Input data failed an integrity check (NaNs, Infs, bad shapes).
 

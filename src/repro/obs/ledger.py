@@ -48,7 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 LEDGER_SCHEMA = "repro.run_ledger"
 #: Bumped on breaking changes only (removed/retyped required keys).
 #: v2 adds the required ``resources`` block (measured peak RSS plus the
-#: engine's backend/worker/shard configuration).
+#: backend/worker/shard configuration).  Records written by builds with a
+#: process pool carry ``"backend": "process"`` and must keep reading.
 LEDGER_VERSION = 2
 #: Versions this build reads.  v1 records (no ``resources``) stay
 #: readable — the same back-compat posture as the profiles v1 -> v2 bump.
@@ -186,9 +187,9 @@ def build_record(
 
     ``metrics`` is ``None`` exactly when the run produced nothing
     (status ``"failed"``); ``error`` is ``{"type": ..., "message": ...}``
-    for failed and degraded runs.  ``resources`` (engine backend/worker/
-    shard configuration) is merged over :func:`default_resources`, so
-    the measured peak RSS is always present.
+    for failed and degraded runs.  ``resources`` (the engine's shard
+    count) is merged over :func:`default_resources`, so the backend,
+    worker count and measured peak RSS are always present.
     """
     record = {
         "schema": LEDGER_SCHEMA,
@@ -273,6 +274,21 @@ def cell_key(record: Mapping[str, Any]) -> tuple[str, str, str]:
 
 #: Characters a torn or padded tail may be made of without being JSON.
 _PADDING_BYTES = b" \t\r\x00"
+
+
+def _joined_records(line: bytes) -> bool:
+    """Whether ``line`` is a complete JSON value followed by more content.
+
+    A torn write truncates, so it never leaves that shape; a lost record
+    separator (a flipped newline joining two records) does.  Content
+    made only of padding after the value stays a torn or padded tail.
+    """
+    text = line.decode("utf-8", errors="replace").lstrip()
+    try:
+        _, end = json.JSONDecoder().raw_decode(text)
+    except json.JSONDecodeError:
+        return False
+    return text[end:].strip(_PADDING_BYTES.decode()) != ""
 
 
 @dataclass(frozen=True)
@@ -408,9 +424,11 @@ class RunLedger:
         Only the *final* line may be bad (an interrupted append tears at
         most the last line); a bad line with valid records after it is
         mid-file corruption and raises ``ValueError`` with
-        ``path:lineno`` — no tolerance mode hides it.  A final segment
-        without its trailing newline that still parses and validates is
-        accepted as complete.
+        ``path:lineno`` — no tolerance mode hides it.  So does a line
+        holding a complete value followed by more content, which a lost
+        record separator leaves and a torn write cannot.  A final
+        segment without its trailing newline that still parses and
+        validates is accepted as complete.
         """
         if not self.path.exists():
             return LedgerScan([], None)
@@ -448,6 +466,12 @@ class RunLedger:
             try:
                 records.append(validate_record(json.loads(line.decode("utf-8"))))
             except (UnicodeDecodeError, json.JSONDecodeError, ValueError) as err:
+                if _joined_records(line):
+                    raise ValueError(
+                        f"{self.path}:{lineno}: a complete record followed by "
+                        f"more content on one line (a lost record separator — "
+                        f"mid-file corruption, not a torn tail)"
+                    ) from err
                 candidate = (lineno, pos, nxt - pos, str(err))
             pos = nxt
         torn: TornTail | None = None

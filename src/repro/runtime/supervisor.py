@@ -37,12 +37,6 @@ work:
   retries the *same algorithm* on exact top-``sparse_k`` candidate
   lists — O(n k) working set instead of n x n — before any ladder hop
   swaps the algorithm.  The chain records the rung as ``"<name>+sparse"``.
-* **Process -> thread rung** — a :class:`~repro.errors.WorkerCrashedError`
-  from the engine's shard worker pool drops the engine to one worker
-  (:meth:`~repro.similarity.engine.SimilarityEngine.degrade_to_threads`:
-  bitwise-identical scores, no child processes to lose) and reruns the
-  *same* matcher, recorded as ``"<name>+thread"``.  It fires under any
-  ``on_error`` mode — the numbers cannot change.
 
 While an attempt runs, the policy's memory budget is published as the
 ambient budget (:mod:`repro.runtime.budget`), so deep allocation sites
@@ -72,7 +66,6 @@ from repro.errors import (
     DeadlineExceeded,
     MatcherError,
     ResourceBudgetExceeded,
-    WorkerCrashedError,
     as_matcher_error,
 )
 from repro.obs import events as obs_events
@@ -334,16 +327,6 @@ class RunSupervisor:
                     registry.inc("supervisor.degraded_runs")
                 return run
             run.error = error
-            if self._thread_rung(current, error):
-                registry.inc("supervisor.thread_degradations")
-                _signal(
-                    "supervisor.degrade_thread",
-                    matcher=current_name,
-                    error=type(error).__name__,
-                    exitcodes=list(getattr(error, "exitcodes", ())),
-                )
-                current_name = f"{current_name}+thread"
-                continue
             sharded = self._sharded_rung(current, current_name, source, target, error, candidates)
             if sharded is not None:
                 registry.inc("supervisor.sharded_degradations")
@@ -399,26 +382,6 @@ class RunSupervisor:
             return run
 
     # -- internals -----------------------------------------------------
-
-    def _thread_rung(self, matcher: Matcher, error: MatcherError) -> bool:
-        """Process -> thread backend flip after a worker crash, or False.
-
-        Unlike the ladder (which swaps the *algorithm*) this rung changes
-        only the executor: the calling thread scores the identical shard
-        grid with bitwise-identical scores, so it fires under *any*
-        ``on_error`` mode — there is no result-quality decision for the
-        caller to make.  It fires at most once per run: after the flip
-        the engine's backend is no longer ``"process"``.
-        """
-        engine = getattr(matcher, "engine", None)
-        if (
-            not isinstance(error, WorkerCrashedError)
-            or engine is None
-            or getattr(engine, "backend", None) != "process"
-        ):
-            return False
-        engine.degrade_to_threads()
-        return True
 
     def _sharded_rung(
         self,
@@ -645,13 +608,10 @@ class RunSupervisor:
         return isinstance(error, (DeadlineExceeded, ResourceBudgetExceeded))
 
     def _fallback_for(self, name: str) -> str | None:
-        # A "+sparse"/"+sharded"/"+thread" rung keeps its base matcher's
-        # ladder entry, so a still-breaching rung run can degrade the
-        # algorithm.
+        # A "+sparse"/"+sharded" rung keeps its base matcher's ladder
+        # entry, so a still-breaching rung run can degrade the algorithm.
         return self.policy.fallbacks.get(
-            name.removesuffix("+sparse")
-            .removesuffix("+sharded")
-            .removesuffix("+thread")
+            name.removesuffix("+sparse").removesuffix("+sharded")
         )
 
     def _build_fallback(self, name: str, failed: Matcher) -> Matcher | None:

@@ -18,11 +18,9 @@ from repro.similarity.metrics import (
     prepare_metric,
     similarity_matrix,
 )
-from repro.similarity.sharded import PROCESS_MIN_ELEMS, process_sharded_similarity
 from repro.similarity.topk import top_k_indices, top_k_mean, top_k_values
 
 __all__ = [
-    "PROCESS_MIN_ELEMS",
     "SIMILARITY_METRICS",
     "EngineStats",
     "SimilarityEngine",
@@ -32,7 +30,6 @@ __all__ = [
     "fingerprint",
     "manhattan_similarity",
     "prepare_metric",
-    "process_sharded_similarity",
     "similarity_matrix",
     "top_k_indices",
     "top_k_mean",

@@ -10,10 +10,9 @@ computed the identical n x n matrix seven times.  The
   (:func:`~repro.similarity.metrics.prepare_metric`: unit rows for
   cosine, squared norms for euclidean) and scores every ``(rows, cols)``
   tile of the :func:`~repro.utils.parallel.plan_shards` grid from that
-  kernel, in the calling thread.  With ``workers > 1`` a large problem
-  whose plan has more than one shard runs the same loop on a pool of
-  shard worker processes over shared memory
-  (:mod:`repro.similarity.sharded`).
+  kernel, in the calling thread.  There is no second executor: a pool
+  of shard worker processes over shared memory measured slower than
+  this loop (DESIGN.md §5).
 * **Precision** — ``dtype="float32"`` computes and stores S in float32,
   halving memory bandwidth and footprint on the n x n working set at
   ~1e-6 relative error (scores only feed rankings, which are far less
@@ -27,12 +26,11 @@ computed the identical n x n matrix seven times.  The
 Determinism contract: the shard grid is a function of the problem shape
 and the grid policy (``chunk_rows`` / ``chunk_elems`` /
 ``memory_budget`` / ``shard_cols``) only, and tiles are written to
-disjoint parts of the output — so results are bitwise-identical across
-worker counts and between the calling thread and the process pool.
-With the default policy, small problems fall into a single tile and the
-output is bitwise-identical to the serial
-:func:`~repro.similarity.metrics.similarity_matrix`; once a float64
-problem spans several tiles, cosine/euclidean values may differ from
+disjoint parts of the output — so results depend on the grid, never on
+the order the tiles are scored in.  With the default policy, small
+problems fall into a single tile and the output is bitwise-identical to
+the serial :func:`~repro.similarity.metrics.similarity_matrix`; once a
+float64 problem spans several tiles, cosine/euclidean values may differ from
 the serial path in the last bits (BLAS summation order varies with the
 tile shape) while Manhattan stays exact.
 
@@ -47,27 +45,17 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 
 import numpy as np
 
-from repro.errors import WorkerCrashedError
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.similarity.chunked import chunked_top_k
 from repro.similarity.metrics import prepare_metric
-from repro.similarity.sharded import PROCESS_MIN_ELEMS, process_sharded_similarity
 from repro.similarity.topk import top_k_indices
-from repro.utils.parallel import (
-    DEFAULT_CHUNK_ELEMS,
-    Shard,
-    plan_shards,
-    resolve_workers,
-    rows_per_chunk,
-)
+from repro.utils.parallel import DEFAULT_CHUNK_ELEMS, plan_shards, rows_per_chunk
 from repro.utils.validation import check_embedding_matrix, check_shape_compatible
 
 #: Cache key: (source digest, target digest, metric, dtype name).
@@ -121,14 +109,6 @@ class SimilarityEngine:
 
     Parameters
     ----------
-    workers:
-        Shard worker processes; ``1`` (default) scores every tile in the
-        calling thread, ``None`` or ``0`` uses all cores.  With more
-        than one worker a computation runs on the process pool only when
-        its plan has more than one shard and it has at least
-        ``process_threshold`` output elements — otherwise the calling
-        thread scores the identical grid.  Scores are bitwise-identical
-        either way.
     dtype:
         Compute/storage precision of S: ``float64`` (default, exact
         match with the serial path) or ``float32`` (half the bandwidth).
@@ -142,21 +122,17 @@ class SimilarityEngine:
     chunk_rows:
         Explicit rows-per-shard override; ``None`` derives it from
         ``chunk_elems``.  Part of the determinism contract — results
-        depend on the grid, never on ``workers``.
+        depend on the grid.
     memory_budget:
         Per-shard working-set budget in bytes for the grid of
         :func:`~repro.utils.parallel.plan_shards`.
     shard_cols:
         Explicit columns-per-shard override.  Like ``chunk_rows``, part
-        of the grid policy — never worker-dependent.
-    process_threshold:
-        Output elements below which a computation never goes to the
-        process pool.
+        of the grid policy.
     """
 
     def __init__(
         self,
-        workers: int | None = 1,
         dtype: np.dtype | str = np.float64,
         cache: bool = True,
         cache_size: int = 4,
@@ -164,10 +140,7 @@ class SimilarityEngine:
         chunk_rows: int | None = None,
         memory_budget: int | None = None,
         shard_cols: int | None = None,
-        process_threshold: int = PROCESS_MIN_ELEMS,
-        mp_context: str = "spawn",
     ) -> None:
-        self.workers = resolve_workers(workers)
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError(f"dtype must be float32 or float64, got {dtype}")
@@ -185,28 +158,15 @@ class SimilarityEngine:
         self.chunk_rows = chunk_rows
         self.memory_budget = memory_budget
         self.shard_cols = shard_cols
-        self.process_threshold = process_threshold
-        self.mp_context = mp_context
         self.stats = EngineStats()
         self._cache: OrderedDict[CacheKey, _CacheEntry] = OrderedDict()
         self._lock = threading.Lock()
-        self._process_pool: ProcessPoolExecutor | None = None
-        self._last_compute: dict[str, object] = {}
-
-    @property
-    def backend(self) -> str:
-        """``"process"`` when large computations may run on the shard
-        worker pool (``workers > 1``), else ``"thread"``: every tile is
-        scored in the calling thread."""
-        return "process" if self.workers > 1 else "thread"
+        self._last_shards = 0
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the process pool and drop cached matrices."""
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=True)
-            self._process_pool = None
+        """Drop cached matrices."""
         self.clear_cache()
 
     def __enter__(self) -> "SimilarityEngine":
@@ -214,45 +174,6 @@ class SimilarityEngine:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def _process_executor(self) -> ProcessPoolExecutor:
-        if self._process_pool is None:
-            # Spawn, not fork: forking a process whose BLAS has started
-            # threads can deadlock the child inside the kernel.
-            self._process_pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=get_context(self.mp_context)
-            )
-        return self._process_pool
-
-    def _discard_process_pool(self) -> None:
-        """Drop a (possibly broken) process pool, reaping its workers.
-
-        Pools are only discarded after a worker crash, so survivors are
-        abandoned mid-task: kill them first so the blocking shutdown
-        returns promptly and no executor management thread outlives the
-        engine — a thread left behind by a fire-and-forget shutdown can
-        deadlock interpreter exit.
-        """
-        pool = self._process_pool
-        if pool is None:
-            return
-        self._process_pool = None
-        for process in list((getattr(pool, "_processes", None) or {}).values()):
-            if process.is_alive():
-                process.kill()
-        pool.shutdown(wait=True, cancel_futures=True)
-
-    def degrade_to_threads(self) -> None:
-        """Drop the engine to ``workers=1`` (worker-crash containment).
-
-        Called by the supervisor's process -> thread rung after a
-        :class:`~repro.errors.WorkerCrashedError`: the calling thread
-        scores the identical shard grid with bitwise-identical scores
-        and has no child processes to lose.  The broken process pool is
-        discarded.
-        """
-        self._discard_process_pool()
-        self.workers = 1
 
     # -- cache ---------------------------------------------------------
 
@@ -280,7 +201,7 @@ class SimilarityEngine:
     def similarity(
         self, source: np.ndarray, target: np.ndarray, metric: str = "cosine"
     ) -> np.ndarray:
-        """Pairwise score matrix ``S``, parallel and (maybe) cached.
+        """Pairwise score matrix ``S``, (maybe) cached.
 
         Drop-in for :func:`~repro.similarity.metrics.similarity_matrix`.
         Cache hits return the shared matrix marked read-only; misses (and
@@ -332,34 +253,26 @@ class SimilarityEngine:
             itemsize=self.dtype.itemsize,
             chunk_elems=self.chunk_elems,
         )
-        backend = (
-            "process"
-            if self.workers > 1
-            and len(plan) > 1
-            and n_source * n_target >= self.process_threshold
-            else "thread"
-        )
         with obs_trace.span(
             "engine.similarity",
             metric=metric,
             rows=n_source,
             cols=n_target,
             dtype=self.dtype.name,
-            workers=self.workers,
-            backend=backend,
         ) as span:
-            if backend == "process":
-                out = self._score_in_processes(source, target, metric, plan)
-            else:
-                kernel = prepare_metric(
-                    metric, source, target, chunk_elems=self.chunk_elems
-                )
-                out = np.empty((n_source, n_target), dtype=self.dtype)
-                for shard in plan:
-                    with obs_trace.span("engine.chunk", **_tile_attrs(shard)):
-                        out[shard.rows, shard.cols] = kernel(shard.rows, shard.cols)
+            kernel = prepare_metric(metric, source, target, chunk_elems=self.chunk_elems)
+            out = np.empty((n_source, n_target), dtype=self.dtype)
+            for shard in plan:
+                with obs_trace.span(
+                    "engine.chunk",
+                    start=shard.rows.start,
+                    stop=shard.rows.stop,
+                    col_start=shard.cols.start,
+                    col_stop=shard.cols.stop,
+                ):
+                    out[shard.rows, shard.cols] = kernel(shard.rows, shard.cols)
             span.count("chunks", len(plan))
-        self._last_compute = {"backend": backend, "shards": len(plan)}
+        self._last_shards = len(plan)
         with self._lock:
             self.stats.computations += 1
         registry = obs_metrics.get_metrics()
@@ -377,41 +290,9 @@ class SimilarityEngine:
         )
         return out
 
-    def _score_in_processes(
-        self, source: np.ndarray, target: np.ndarray, metric: str, plan: list[Shard]
-    ) -> np.ndarray:
-        """Score ``plan`` on the shard worker pool; one event per tile."""
-        try:
-            out, seconds = process_sharded_similarity(
-                source,
-                target,
-                metric,
-                plan,
-                pool=self._process_executor(),
-                chunk_elems=self.chunk_elems,
-            )
-        except WorkerCrashedError:
-            # A broken ProcessPoolExecutor is dead for good — every
-            # later submit would raise.  Discard it so a retry (or the
-            # supervisor's process -> thread rung followed by a later
-            # return to several workers) starts from a fresh pool.
-            self._discard_process_pool()
-            raise
-        for shard, shard_seconds in zip(plan, seconds):
-            obs_trace.event(
-                "engine.chunk", seconds=round(shard_seconds, 6), **_tile_attrs(shard)
-            )
-        return out
-
     def resource_info(self) -> dict[str, object]:
-        """Backend/worker configuration and last shard count (for ledgers)."""
-        info: dict[str, object] = {
-            "backend": self.backend,
-            "workers": self.workers,
-            "shards": 0,
-        }
-        info.update(self._last_compute)
-        return info
+        """Shard count of the last computation (for ledgers)."""
+        return {"shards": self._last_shards}
 
     # -- chunked entry points ------------------------------------------
 
@@ -488,16 +369,7 @@ class SimilarityEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"SimilarityEngine(workers={self.workers}, dtype={self.dtype.name!r}, "
+            f"SimilarityEngine(dtype={self.dtype.name!r}, "
             f"cache={self.cache_enabled}, cache_size={self.cache_size})"
         )
 
-
-def _tile_attrs(shard: Shard) -> dict[str, int]:
-    """Trace attributes of one tile: its row and column ranges."""
-    return {
-        "start": shard.rows.start,
-        "stop": shard.rows.stop,
-        "col_start": shard.cols.start,
-        "col_stop": shard.cols.stop,
-    }

@@ -15,12 +15,10 @@ from repro.testing.faults import (
     FaultInjector,
     ForcedConvergenceFailure,
     KernelStall,
-    KilledWorkerInjector,
     TornWriteInjector,
     corrupt_embeddings,
     default_injectors,
     faulty_factory,
-    kill_current_worker,
 )
 
 __all__ = [
@@ -31,10 +29,8 @@ __all__ = [
     "FaultInjector",
     "ForcedConvergenceFailure",
     "KernelStall",
-    "KilledWorkerInjector",
     "TornWriteInjector",
     "corrupt_embeddings",
     "default_injectors",
     "faulty_factory",
-    "kill_current_worker",
 ]

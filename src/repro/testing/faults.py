@@ -16,18 +16,12 @@ in one specific, *deterministic* way:
   exercising the retry path;
 * :class:`AllocationFailure` — raises ``MemoryError`` as a real
   allocator would, which the supervisor maps to
-  :class:`~repro.errors.ResourceBudgetExceeded`;
-* :class:`KilledWorkerInjector` — raises
-  :class:`~repro.errors.WorkerCrashedError` for the first N calls, the
-  signature a SIGKILL'd shard worker leaves, exercising the supervisor's
-  process -> thread rung without spawning real processes.
+  :class:`~repro.errors.ResourceBudgetExceeded`.
 
 The durability chaos suite also needs crashes that happen to *files*
 rather than matchers: :class:`TornWriteInjector` interrupts a write at a
 deterministic byte offset (and can retroactively tear an existing file),
-simulating the torn artifacts a power cut leaves behind; the module-level
-:func:`kill_current_worker` is a real-SIGKILL payload importable by
-spawned pool workers.
+simulating the torn artifacts a power cut leaves behind.
 
 Per-install state (RNG streams, call counters) lives in the wrapper
 closure, so one injector instance drives many matchers through the
@@ -37,8 +31,6 @@ deterministic under its seed.
 
 from __future__ import annotations
 
-import os
-import signal
 import time
 from abc import ABC, abstractmethod
 from pathlib import Path
@@ -48,7 +40,7 @@ import numpy as np
 
 from repro.core.base import Matcher, MatchResult
 from repro.core.registry import create_matcher
-from repro.errors import ConvergenceError, WorkerCrashedError
+from repro.errors import ConvergenceError
 from repro.utils.rng import ensure_rng
 
 
@@ -206,42 +198,6 @@ class AllocationFailure(FaultInjector):
         return match
 
 
-class KilledWorkerInjector(FaultInjector):
-    """Raises :class:`WorkerCrashedError` for the first N calls.
-
-    The in-process stand-in for a SIGKILL'd shard worker: the error
-    carries the backend and a plausible exit code (``-SIGKILL``), so the
-    supervisor's process -> thread rung fires exactly as it would for a
-    real broken pool — without the test paying spawn costs.  Later calls
-    delegate cleanly (the "thread backend completes the run" half of the
-    scenario).
-    """
-
-    name = "killed-worker"
-
-    def __init__(self, failures: int = 1, exitcode: int = -signal.SIGKILL) -> None:
-        if failures < 1:
-            raise ValueError(f"failures must be >= 1, got {failures}")
-        self.failures = failures
-        self.exitcode = exitcode
-
-    def _wrap(self, matcher, inner):
-        calls = {"n": 0}
-
-        def match(source: np.ndarray, target: np.ndarray) -> MatchResult:
-            calls["n"] += 1
-            if calls["n"] <= self.failures:
-                raise WorkerCrashedError(
-                    f"injected worker crash on call {calls['n']}/{self.failures} "
-                    f"(worker exit code {self.exitcode})",
-                    backend="process",
-                    exitcodes=(self.exitcode,),
-                )
-            return inner(source, target)
-
-        return match
-
-
 class TornWriteInjector:
     """Deterministically interrupted writes — the power-cut simulator.
 
@@ -305,16 +261,6 @@ class TornWriteInjector:
             f"TornWriteInjector(seed={self.seed}, fraction={self.fraction}, "
             f"offset={self.offset})"
         )
-
-
-def kill_current_worker() -> None:  # pragma: no cover - dies by design
-    """SIGKILL the calling process — submit to a pool to break it for real.
-
-    Importable by spawn-context workers (unlike a test-local lambda), so
-    the chaos suite can prove the no-hang guarantee against an actual
-    dead process rather than a simulated one.
-    """
-    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def default_injectors(stall_seconds: float = 0.2) -> list[FaultInjector]:

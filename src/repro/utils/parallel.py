@@ -2,22 +2,18 @@
 
 This module centralises the policies every chunked kernel shares:
 
-* :func:`resolve_workers` — how many worker processes a ``workers``
-  setting means;
 * :func:`rows_per_chunk` / :func:`row_chunks` — how a row range is cut
   into independent work items (the *chunk grid*);
 * :func:`plan_shards` — the 2-D grid of row x column tiles the
   similarity engine scores.
 
 Determinism contract: a grid is a function of the problem shape and the
-chunk policy only — never of the worker count — and every tile owns a
-disjoint part of the output, so results are bitwise-identical whoever
-scores the tiles.
+chunk policy only, and every tile owns a disjoint part of the output, so
+results are bitwise-identical in whatever order the tiles are scored.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 #: Default per-chunk working-set budget, in array *elements* (not bytes).
@@ -28,22 +24,9 @@ DEFAULT_CHUNK_ELEMS = 2**22
 
 #: How many shard working sets a memory budget must cover: the tile
 #: being written, the kernel's intermediate, and headroom for a couple
-#: of in-flight shards.  A fixed constant — never the worker count —
-#: so the planner's grid stays independent of scheduling.
+#: of in-flight shards.  A fixed constant, so the planner's grid stays
+#: independent of scheduling.
 SHARD_BUDGET_FACTOR = 4
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Normalise a ``workers`` setting to a concrete worker count.
-
-    ``None`` or ``0`` means "all available cores"; any positive integer
-    is taken literally; negatives are rejected.
-    """
-    if workers is None or workers == 0:
-        return os.cpu_count() or 1
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0 (0 = all cores), got {workers}")
-    return int(workers)
 
 
 def rows_per_chunk(
@@ -79,7 +62,7 @@ class Shard:
     """One row x column tile of a 2-D problem.
 
     A shard owns a disjoint rectangle of the output, so shards can be
-    scored in any order (and on any executor) without synchronisation.
+    scored in any order without synchronisation.
     """
 
     rows: slice
@@ -117,8 +100,8 @@ def plan_shards(
     ``chunk_cols`` override the derived tile sides.
 
     Same determinism contract as the 1-D grid: the plan is a function of
-    the problem shape and this policy only — never of the worker count —
-    and shards are emitted in row-major order.
+    the problem shape and this policy only, and shards are emitted in
+    row-major order.
     """
     if n_rows < 0 or n_cols < 0:
         raise ValueError(f"shape must be non-negative, got ({n_rows}, {n_cols})")

@@ -8,8 +8,8 @@ at full probe width must reproduce it:
   delta layer) bitwise — ids, order and scores — against the row-wise
   oracle, which scores each query alone against every target;
 * BLAS paths (``IVFIndex.search``, ``blocked_candidates`` under two
-  memory budgets, the dense ``SimilarityEngine`` at its default grid,
-  on forced 2-D grids and on its process pool, and ``chunked_top_k``)
+  memory budgets, the dense ``SimilarityEngine`` at its default grid
+  and on forced 2-D grids, and ``chunked_top_k``)
   with the same ids wherever the oracle's k-th and (k+1)-th scores
   differ by more than 1e-9 (closer than that, roundoff may legitimately
   swap them).
@@ -35,15 +35,11 @@ DELETED = (2, 17, 40, 55)
 DUPLICATES = [11, 23, 37, 41, 52]  # copies of target 5
 
 #: Dense engine paths: engine options per path.  The 2-D grids cut the
-#: 13 x 60 problem into several row and column bands; the process path
-#: scores its 4-row shards in two spawned workers.
+#: 13 x 60 problem into several row and column bands.
 ENGINE_OPTIONS = {
     "engine-default": {},
     "engine-shard-cols": {"chunk_rows": 4, "shard_cols": 16},
     "engine-memory-budget": {"memory_budget": 1_000},
-    "engine-process": {
-        "workers": 2, "process_threshold": 0, "chunk_rows": 4,
-    },
 }
 
 DENSE_PATHS = (*ENGINE_OPTIONS, "chunked-top-k")
@@ -109,8 +105,6 @@ def run_path(path, metric, queries, targets, tmp_path):
     if path in ENGINE_OPTIONS:
         with SimilarityEngine(cache=False, **ENGINE_OPTIONS[path]) as engine:
             scores = engine.similarity(queries, targets, metric=metric)
-            if path == "engine-process":
-                assert engine.resource_info()["backend"] == "process"
         return best_first(scores), live, False
     if path == "chunked-top-k":
         indices, scores = chunked_top_k(queries, targets, K, chunk_size=4, metric=metric)

@@ -21,7 +21,7 @@ class TestEngineInstrumentation:
     def test_similarity_span_has_chunk_children(self, rng):
         source = rng.standard_normal((50, 8))
         target = rng.standard_normal((40, 8))
-        with SimilarityEngine(workers=2, chunk_rows=16) as engine:
+        with SimilarityEngine(chunk_rows=16) as engine:
             with trace.recording() as recorder:
                 engine.similarity(source, target, metric="cosine")
         (root,) = recorder.find("engine.similarity")
@@ -144,7 +144,7 @@ class TestCLIProfile:
         out = tmp_path / "prof.json"
         assert main([
             "match", "dbp15k/zh_en", "--matcher", "CSLS", "--scale", "0.2",
-            "--workers", "2", "--profile", str(out),
+            "--profile", str(out),
         ]) == 0
         assert "profile written to" in capsys.readouterr().out
         document = load_profile(out)

@@ -116,13 +116,19 @@ class TestSchemaV2Resources:
         assert isinstance(resources["peak_rss_bytes"], int)
         assert resources["peak_rss_bytes"] >= 0
 
-    def test_engine_resources_merge_over_defaults(self):
+    def test_engine_resources_merge_over_defaults(self, tmp_path):
+        # Older builds could score on a process pool and recorded it;
+        # such records must still validate and read back.
         record = _record(resources={"backend": "process", "workers": 4, "shards": 9})
         resources = record["resources"]
         assert resources["backend"] == "process"
         assert resources["workers"] == 4
         assert resources["shards"] == 9
         assert "peak_rss_bytes" in resources  # measured default survives
+        ledger = RunLedger(tmp_path / "runs.jsonl")
+        ledger.append(record)
+        (read,) = ledger.records()
+        assert read["resources"] == resources
 
     def test_v1_record_without_resources_still_validates(self):
         record = _record()
@@ -157,12 +163,16 @@ class TestSchemaV2Resources:
         ledger_path = tmp_path / "runs.jsonl"
         code = main([
             "match", "dbp15k/zh_en", "--matcher", "DInf", "--scale", "0.2",
-            "--workers", "2", "--ledger", str(ledger_path),
+            "--ledger", str(ledger_path),
         ])
         assert code == 0
         (record,) = RunLedger(ledger_path).records()
-        assert record["resources"]["workers"] == 2
+        assert set(record["resources"]) == {
+            "backend", "workers", "shards", "peak_rss_bytes",
+        }
+        assert record["resources"]["workers"] == 1
         assert record["resources"]["backend"] == "thread"
+        assert record["resources"]["shards"] >= 1
         assert record["resources"]["peak_rss_bytes"] > 0
 
 

@@ -213,6 +213,34 @@ class TestMidFileCorruption:
         with pytest.raises(ValueError, match=rf"{ledger.path}:2"):
             ledger.scan()
 
+    def test_flipped_separator_is_mid_file_corruption(self, tmp_path):
+        # Any flip of the newline between records 2 and 3 joins them into
+        # one final line.  A torn write never leaves a complete record
+        # followed by more content, so this is corruption: typed, located,
+        # and fsck --repair must not move the two records to a sidecar.
+        ledger = _seeded_ledger(tmp_path, matchers=("DInf", "CSLS", "Hun."))
+        raw = ledger.path.read_bytes()
+        separator = raw.index(b"\n", raw.index(b"\n") + 1)
+        for mask in range(1, 256):
+            flipped = bytearray(raw)
+            flipped[separator] ^= mask
+            ledger.path.write_bytes(bytes(flipped))
+            for read in (ledger.records, lambda: ledger.records(strict=False)):
+                with pytest.raises(ValueError, match=rf"{ledger.path}:2: "):
+                    read()
+            report = ledger.fsck(repair=True)
+            assert "mid-file corruption" in report.error
+            assert not report.repaired
+            assert ledger.path.read_bytes() == bytes(flipped)
+
+    def test_complete_record_then_padding_stays_a_torn_tail(self, tmp_path):
+        ledger = _seeded_ledger(tmp_path)
+        raw = ledger.path.read_bytes()
+        ledger.path.write_bytes(raw[:-1] + b" \x00\x00\t")
+        scan = ledger.scan()
+        assert len(scan.records) == 1
+        assert scan.torn is not None and scan.torn.lineno == 2
+
     def test_legacy_blank_separator_lines_still_tolerated(self, tmp_path):
         ledger = _seeded_ledger(tmp_path)
         lines = ledger.path.read_bytes().splitlines(keepends=True)

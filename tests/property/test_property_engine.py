@@ -1,17 +1,17 @@
 """Property-based tests: the engine is a pure scheduling change.
 
-The determinism contract of :class:`SimilarityEngine` is that chunking
-and the worker count are invisible to the numerics: for any metric,
-worker count, and (odd) chunk size, the engine's float64 output equals
-the serial :func:`similarity_matrix` result, and float32 output matches
-to single-precision tolerance.  The same must hold for the chunked top-k
+The determinism contract of :class:`SimilarityEngine` is that the shard
+grid is invisible to the numerics beyond summation order: for any
+metric and any (odd) grid shape, the engine's float64 output equals the
+serial :func:`similarity_matrix` result, and float32 output matches to
+single-precision tolerance.  The same must hold for the chunked top-k
 kernel the engine schedules.
 
 Float64 equality is asserted bitwise under the default chunk policy
 (where the grid is a single chunk and even the BLAS calls are shared)
 and to 1e-12 across arbitrary grids (where matmul summation order may
-legitimately differ in the last bits); worker count must never change a
-single bit for a fixed grid.
+legitimately differ in the last bits); a fixed grid must give the same
+bits on every run.
 """
 
 import numpy as np
@@ -25,8 +25,12 @@ from repro.similarity.metrics import similarity_matrix
 from repro.similarity.topk import top_k_values
 
 METRICS = ("cosine", "euclidean", "manhattan")
-WORKER_COUNTS = (1, 2, 4)
 ODD_CHUNKS = (1, 3, 7, 19)
+#: Columns per shard for the 2-D grids: ``None`` keeps whole row bands.
+SHARD_COLS = (None, 2, 5)
+#: (chunk_rows, shard_cols) grid policies: the default single tile, row
+#: bands, and a row x column grid.
+GRID_SHAPES = ((None, None), (3, None), (3, 2))
 
 
 def embedding_pairs(max_rows=16, max_dim=6):
@@ -50,31 +54,29 @@ class TestEngineEqualsSerial:
     def test_default_policy_bitwise_float64(self, metric, matrices):
         source, target = matrices
         serial = similarity_matrix(source, target, metric=metric)
-        for workers in WORKER_COUNTS:
-            with SimilarityEngine(workers=workers) as engine:
-                np.testing.assert_array_equal(
-                    engine.similarity(source, target, metric=metric), serial
-                )
+        with SimilarityEngine() as engine:
+            np.testing.assert_array_equal(
+                engine.similarity(source, target, metric=metric), serial
+            )
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("chunk_rows", ODD_CHUNKS)
     @given(embedding_pairs())
     @settings(max_examples=10, deadline=None)
-    def test_odd_grids_workers_invisible(self, metric, chunk_rows, matrices):
+    def test_odd_grids_match_serial(self, metric, chunk_rows, matrices):
         source, target = matrices
-        per_worker = []
-        for workers in WORKER_COUNTS:
-            with SimilarityEngine(workers=workers, chunk_rows=chunk_rows) as engine:
-                per_worker.append(engine.similarity(source, target, metric=metric))
-        # Fixed grid -> bitwise identical across worker counts ...
-        for other in per_worker[1:]:
-            np.testing.assert_array_equal(per_worker[0], other)
-        # ... and equal to the serial result up to summation order.
-        np.testing.assert_allclose(
-            per_worker[0],
-            similarity_matrix(source, target, metric=metric),
-            atol=1e-12,
-        )
+        serial = similarity_matrix(source, target, metric=metric)
+        for shard_cols in SHARD_COLS:
+            runs = []
+            for _ in range(2):
+                with SimilarityEngine(
+                    chunk_rows=chunk_rows, shard_cols=shard_cols, cache=False
+                ) as engine:
+                    runs.append(engine.similarity(source, target, metric=metric))
+            # Fixed grid -> bitwise identical on every run ...
+            np.testing.assert_array_equal(runs[0], runs[1])
+            # ... and equal to the serial result up to summation order.
+            np.testing.assert_allclose(runs[0], serial, atol=1e-12)
 
     @pytest.mark.parametrize("metric", METRICS)
     @given(embedding_pairs())
@@ -90,34 +92,35 @@ class TestEngineEqualsSerial:
         atol = 2e-2 if metric == "euclidean" else 5e-4
         source, target = matrices
         serial = similarity_matrix(source, target, metric=metric)
-        for workers in WORKER_COUNTS:
-            with SimilarityEngine(workers=workers, dtype=np.float32) as engine:
+        for chunk_rows, shard_cols in GRID_SHAPES:
+            with SimilarityEngine(
+                dtype=np.float32, chunk_rows=chunk_rows, shard_cols=shard_cols
+            ) as engine:
                 scores = engine.similarity(source, target, metric=metric)
             assert scores.dtype == np.float32
             np.testing.assert_allclose(scores, serial, atol=atol)
 
 
 class TestChunkedEqualsSerial:
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     @pytest.mark.parametrize("chunk_size", ODD_CHUNKS)
     @given(embedding_pairs(), st.integers(1, 5))
     @settings(max_examples=10, deadline=None)
-    def test_top_k_float64(self, workers, chunk_size, matrices, k):
+    def test_top_k_float64(self, chunk_size, matrices, k):
         source, target = matrices
-        with SimilarityEngine(workers=workers) as engine:
+        with SimilarityEngine() as engine:
             _, scores = engine.top_k(source, target, k, chunk_size=chunk_size)
         dense = similarity_matrix(source, target)
         np.testing.assert_allclose(
             scores, top_k_values(dense, min(k, target.shape[0])), atol=1e-12
         )
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    @pytest.mark.parametrize("chunk_size", ODD_CHUNKS)
     @given(embedding_pairs(), st.integers(1, 5))
     @settings(max_examples=10, deadline=None)
-    def test_top_k_float32(self, workers, matrices, k):
+    def test_top_k_float32(self, chunk_size, matrices, k):
         source, target = matrices
-        with SimilarityEngine(workers=workers, dtype=np.float32) as engine:
-            _, scores = engine.top_k(source, target, k, chunk_size=3)
+        with SimilarityEngine(dtype=np.float32) as engine:
+            _, scores = engine.top_k(source, target, k, chunk_size=chunk_size)
         assert scores.dtype == np.float32
         dense = similarity_matrix(source, target)
         np.testing.assert_allclose(

@@ -1,14 +1,19 @@
 """Tests for the similarity engine and its score-matrix cache."""
 
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.greedy import Greedy
 from repro.core.registry import PAPER_MATCHERS, create_matcher
 from repro.similarity.engine import SimilarityEngine, fingerprint
-from repro.similarity.metrics import similarity_matrix
+from repro.similarity.metrics import prepare_metric, similarity_matrix
+from repro.utils.parallel import SHARD_BUDGET_FACTOR, Shard
 
 
 @pytest.fixture()
@@ -35,12 +40,11 @@ class TestFingerprint:
 
 class TestEngineResults:
     @pytest.mark.parametrize("metric", ["cosine", "euclidean", "manhattan"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_default_policy_bitwise_equals_serial(self, embeddings, metric, workers):
+    def test_default_policy_bitwise_equals_serial(self, embeddings, metric):
         # With the default chunk policy this problem is a single chunk, so
         # the engine result is bitwise-identical to similarity_matrix.
         source, target = embeddings
-        with SimilarityEngine(workers=workers) as engine:
+        with SimilarityEngine() as engine:
             scores = engine.similarity(source, target, metric=metric)
         np.testing.assert_array_equal(
             scores, similarity_matrix(source, target, metric=metric)
@@ -48,21 +52,21 @@ class TestEngineResults:
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean", "manhattan"])
     @pytest.mark.parametrize("chunk_rows", [1, 7, 13])
-    def test_worker_count_invisible_on_fixed_grid(self, embeddings, metric, chunk_rows):
+    @pytest.mark.parametrize("shard_cols", [None, 5])
+    def test_fixed_grid_matches_serial(self, embeddings, metric, chunk_rows, shard_cols):
         source, target = embeddings
         results = []
-        for workers in (1, 2, 4):
-            with SimilarityEngine(workers=workers, chunk_rows=chunk_rows) as engine:
+        for _ in range(2):
+            with SimilarityEngine(chunk_rows=chunk_rows, shard_cols=shard_cols) as engine:
                 results.append(engine.similarity(source, target, metric=metric))
         np.testing.assert_array_equal(results[0], results[1])
-        np.testing.assert_array_equal(results[0], results[2])
         np.testing.assert_allclose(
             results[0], similarity_matrix(source, target, metric=metric), atol=1e-12
         )
 
     def test_float32_mode(self, embeddings):
         source, target = embeddings
-        with SimilarityEngine(dtype="float32", workers=2) as engine:
+        with SimilarityEngine(dtype="float32") as engine:
             scores = engine.similarity(source, target)
         assert scores.dtype == np.float32
         np.testing.assert_allclose(
@@ -76,8 +80,6 @@ class TestEngineResults:
             SimilarityEngine(cache_size=0)
         with pytest.raises(ValueError, match="chunk_rows"):
             SimilarityEngine(chunk_rows=0)
-        with pytest.raises(ValueError, match="workers"):
-            SimilarityEngine(workers=-1)
 
     def test_unknown_metric(self, embeddings):
         source, target = embeddings
@@ -176,7 +178,7 @@ class TestEngineChunkedEntryPoints:
         from repro.similarity.topk import top_k_values
 
         source, target = embeddings
-        with SimilarityEngine(workers=2) as engine:
+        with SimilarityEngine() as engine:
             _, scores = engine.top_k(source, target, k=5, chunk_size=7)
         dense = similarity_matrix(source, target)
         np.testing.assert_allclose(scores, top_k_values(dense, 5), atol=1e-12)
@@ -229,7 +231,7 @@ class TestSharedEngineSweep:
             name: create_matcher(name).match(source, target).as_set()
             for name in PAPER_MATCHERS
         }
-        with SimilarityEngine(workers=2) as engine:
+        with SimilarityEngine() as engine:
             for name in PAPER_MATCHERS:
                 matcher = create_matcher(name)
                 matcher.engine = engine
@@ -242,15 +244,73 @@ class TestSharedEngineSweep:
             assert engine.stats.misses == 1
             assert engine.stats.hits == len(PAPER_MATCHERS) - 1
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_parallel_sweep_matches_serial_exactly(self, rng, workers):
-        source = rng.normal(size=(33, 8))
-        target = rng.normal(size=(29, 8))
-        with SimilarityEngine(workers=workers, chunk_rows=5) as engine:
-            parallel = engine.similarity(source, target)
-        with SimilarityEngine(workers=1, chunk_rows=5) as engine:
-            serial = engine.similarity(source, target)
-        np.testing.assert_array_equal(parallel, serial)
+
+class TestShardGrid:
+    """The grid the engine scores: results depend on it, nothing else.
+
+    A memory budget of ~500 elements per shard forces a real row x
+    column grid on a 60 x 60 problem; at this size every tile's dot
+    products sum in the same order as the single default tile.
+    """
+
+    SIZE = 60
+    BUDGET = SHARD_BUDGET_FACTOR * 8 * 500  # ~500-element shards
+
+    @pytest.fixture
+    def problem(self, rng):
+        return rng.normal(size=(self.SIZE, 8)), rng.normal(size=(self.SIZE, 8))
+
+    def test_budget_grid_equals_default_grid(self, problem):
+        source, target = problem
+        with SimilarityEngine(cache=False) as engine:
+            default = engine.similarity(source, target)
+            assert engine.resource_info() == {"shards": 1}
+        with SimilarityEngine(memory_budget=self.BUDGET, cache=False) as engine:
+            tiled = engine.similarity(source, target)
+            assert engine.resource_info()["shards"] > 1
+        np.testing.assert_array_equal(tiled, default)
+
+    def test_match_results_identical_across_grids(self, problem):
+        source, target = problem
+        results = []
+        for budget in (None, self.BUDGET):
+            with SimilarityEngine(memory_budget=budget, cache=False) as engine:
+                results.append(Greedy().match_scores(engine.similarity(source, target)))
+        np.testing.assert_array_equal(results[0].pairs, results[1].pairs)
+        np.testing.assert_array_equal(results[0].scores, results[1].scores)
+
+    def test_each_computation_prepares_its_own_kernel(self, problem, rng):
+        # One engine serves several computations in a row: the metric
+        # prepared for one (unit rows, squared norms) must never score
+        # the next one's tiles.
+        source, target = problem
+        other = rng.normal(size=target.shape)
+        with SimilarityEngine(chunk_rows=8, cache=False) as shared:
+            for metric, right in (
+                ("euclidean", target), ("euclidean", other),
+                ("cosine", target), ("manhattan", other),
+            ):
+                with SimilarityEngine(chunk_rows=8, cache=False) as fresh:
+                    np.testing.assert_array_equal(
+                        shared.similarity(source, right, metric=metric),
+                        fresh.similarity(source, right, metric=metric),
+                    )
+
+    def test_kernel_tile_matches_dense_tile(self, rng):
+        source = rng.normal(size=(12, 6))
+        target = rng.normal(size=(9, 6))
+        dense = similarity_matrix(source, target)
+        shard = Shard(slice(3, 9), slice(2, 7))
+        kernel = prepare_metric("cosine", source, target)
+        np.testing.assert_array_equal(
+            kernel(shard.rows, shard.cols), dense[3:9, 2:7]
+        )
+
+    def test_resource_info_counts_shards(self, rng):
+        with SimilarityEngine(chunk_rows=10, cache=False) as engine:
+            assert engine.resource_info() == {"shards": 0}
+            engine.similarity(rng.normal(size=(25, 4)), rng.normal(size=(8, 4)))
+            assert engine.resource_info() == {"shards": 3}
 
 
 class TestRunnerIntegration:
@@ -263,9 +323,37 @@ class TestRunnerIntegration:
             matchers=("DInf", "CSLS", "Sink."),
             scale=0.02,
         )
-        with SimilarityEngine(workers=2) as engine:
+        with SimilarityEngine() as engine:
             result = run_experiment(config, engine=engine)
             # One computation serves the diagnostics pass plus every matcher.
             assert engine.stats.computations == 1
             assert engine.stats.hits == len(config.matchers)
         assert set(result.runs) == set(config.matchers)
+
+
+_PROCESS_MODULES = (
+    "multiprocessing",
+    "multiprocessing.shared_memory",
+    "concurrent.futures.process",
+)
+
+
+class TestNoProcessMachineryImported:
+    def test_serve_import_path_loads_no_process_pool(self):
+        # A fresh interpreter: this test process may already hold them.
+        # Every score is computed in the calling thread, so the daemon's
+        # import graph (http -> state -> index -> similarity) needs none
+        # of the process-pool or shared-memory modules.
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import sys\n"
+            "import repro.serve.http\n"
+            f"print([m for m in {_PROCESS_MODULES!r} if m in sys.modules])\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

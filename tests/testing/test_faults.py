@@ -1,24 +1,20 @@
 """Tests for the deterministic fault-injection harness."""
 
-import signal
-
 import numpy as np
 import pytest
 
 from repro.core.greedy import DInf
 from repro.core.sinkhorn import Sinkhorn
-from repro.errors import ConvergenceError, DataIntegrityError, WorkerCrashedError
+from repro.errors import ConvergenceError, DataIntegrityError
 from repro.testing.faults import (
     AllocationFailure,
     EmbeddingCorruptor,
     ForcedConvergenceFailure,
     KernelStall,
-    KilledWorkerInjector,
     TornWriteInjector,
     corrupt_embeddings,
     default_injectors,
     faulty_factory,
-    kill_current_worker,
 )
 
 
@@ -155,30 +151,6 @@ class TestFaultyFactory:
             assert engine.stats.misses == 1  # S went through the engine
 
 
-class TestKilledWorkerInjector:
-    def test_raises_typed_crash_then_delegates(self):
-        source, target = _embeddings()
-        matcher = KilledWorkerInjector(failures=2).install(DInf())
-        for call in (1, 2):
-            with pytest.raises(WorkerCrashedError) as excinfo:
-                matcher.match(source, target)
-            assert excinfo.value.backend == "process"
-            assert excinfo.value.exitcodes == (-signal.SIGKILL,)
-        result = matcher.match(source, target)  # third call is clean
-        assert len(result.pairs) == len(source)
-
-    def test_custom_exitcode_carried(self):
-        source, target = _embeddings()
-        matcher = KilledWorkerInjector(failures=1, exitcode=-6).install(DInf())
-        with pytest.raises(WorkerCrashedError) as excinfo:
-            matcher.match(source, target)
-        assert excinfo.value.exitcodes == (-6,)
-
-    def test_failures_validated(self):
-        with pytest.raises(ValueError, match="failures"):
-            KilledWorkerInjector(failures=0)
-
-
 class TestTornWriteInjector:
     def test_same_seed_same_tear_offsets(self):
         a = [TornWriteInjector(seed=5).tear_offset(n) for n in (10, 100, 1000)]
@@ -214,11 +186,3 @@ class TestTornWriteInjector:
         with pytest.raises(ValueError, match="offset"):
             TornWriteInjector(offset=-1)
 
-    def test_kill_current_worker_is_importable_by_spawn_workers(self):
-        # The payload must be a module-level function (a lambda cannot
-        # cross a spawn pickle boundary); calling it here would, well,
-        # kill the test process.
-        from repro.testing import faults
-
-        assert faults.kill_current_worker is kill_current_worker
-        assert kill_current_worker.__module__ == "repro.testing.faults"
