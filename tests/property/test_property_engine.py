@@ -31,6 +31,9 @@ SHARD_COLS = (None, 2, 5)
 #: (chunk_rows, shard_cols) grid policies: the default single tile, row
 #: bands, and a row x column grid.
 GRID_SHAPES = ((None, None), (3, None), (3, 2))
+#: Computations run on one engine: every run of a fixed grid gives the
+#: same bits.
+RUN_COUNTS = (1, 2, 4)
 
 
 def embedding_pairs(max_rows=16, max_dim=6):
@@ -102,27 +105,40 @@ class TestEngineEqualsSerial:
 
 
 class TestChunkedEqualsSerial:
+    @pytest.mark.parametrize("runs", RUN_COUNTS)
     @pytest.mark.parametrize("chunk_size", ODD_CHUNKS)
     @given(embedding_pairs(), st.integers(1, 5))
     @settings(max_examples=10, deadline=None)
-    def test_top_k_float64(self, chunk_size, matrices, k):
+    def test_top_k_float64(self, runs, chunk_size, matrices, k):
         source, target = matrices
         with SimilarityEngine() as engine:
-            _, scores = engine.top_k(source, target, k, chunk_size=chunk_size)
+            results = [
+                engine.top_k(source, target, k, chunk_size=chunk_size)
+                for _ in range(runs)
+            ]
+        for indices, scores in results[1:]:
+            np.testing.assert_array_equal(indices, results[0][0])
+            np.testing.assert_array_equal(scores, results[0][1])
         dense = similarity_matrix(source, target)
         np.testing.assert_allclose(
-            scores, top_k_values(dense, min(k, target.shape[0])), atol=1e-12
+            results[0][1], top_k_values(dense, min(k, target.shape[0])), atol=1e-12
         )
 
-    @pytest.mark.parametrize("chunk_size", ODD_CHUNKS)
+    @pytest.mark.parametrize("runs", RUN_COUNTS)
     @given(embedding_pairs(), st.integers(1, 5))
     @settings(max_examples=10, deadline=None)
-    def test_top_k_float32(self, chunk_size, matrices, k):
+    def test_top_k_float32(self, runs, matrices, k):
         source, target = matrices
-        with SimilarityEngine(dtype=np.float32) as engine:
-            _, scores = engine.top_k(source, target, k, chunk_size=chunk_size)
-        assert scores.dtype == np.float32
         dense = similarity_matrix(source, target)
-        np.testing.assert_allclose(
-            scores, top_k_values(dense, min(k, target.shape[0])), atol=5e-4
-        )
+        expected = top_k_values(dense, min(k, target.shape[0]))
+        with SimilarityEngine(dtype=np.float32) as engine:
+            for chunk_size in ODD_CHUNKS:
+                results = [
+                    engine.top_k(source, target, k, chunk_size=chunk_size)
+                    for _ in range(runs)
+                ]
+                for indices, scores in results:
+                    assert scores.dtype == np.float32
+                    np.testing.assert_array_equal(indices, results[0][0])
+                    np.testing.assert_array_equal(scores, results[0][1])
+                np.testing.assert_allclose(results[0][1], expected, atol=5e-4)

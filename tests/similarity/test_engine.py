@@ -40,15 +40,17 @@ class TestFingerprint:
 
 class TestEngineResults:
     @pytest.mark.parametrize("metric", ["cosine", "euclidean", "manhattan"])
-    def test_default_policy_bitwise_equals_serial(self, embeddings, metric):
+    @pytest.mark.parametrize("runs", [1, 2, 4])
+    def test_default_policy_bitwise_equals_serial(self, embeddings, metric, runs):
         # With the default chunk policy this problem is a single chunk, so
-        # the engine result is bitwise-identical to similarity_matrix.
+        # the engine result is bitwise-identical to similarity_matrix, on
+        # every computation one engine runs (no cache: each run scores).
         source, target = embeddings
-        with SimilarityEngine() as engine:
-            scores = engine.similarity(source, target, metric=metric)
-        np.testing.assert_array_equal(
-            scores, similarity_matrix(source, target, metric=metric)
-        )
+        serial = similarity_matrix(source, target, metric=metric)
+        with SimilarityEngine(cache=False) as engine:
+            for _ in range(runs):
+                scores = engine.similarity(source, target, metric=metric)
+                np.testing.assert_array_equal(scores, serial)
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean", "manhattan"])
     @pytest.mark.parametrize("chunk_rows", [1, 7, 13])
@@ -270,6 +272,20 @@ class TestShardGrid:
             assert engine.resource_info()["shards"] > 1
         np.testing.assert_array_equal(tiled, default)
 
+    def test_fixed_grid_bitwise_identical_across_engines(self, problem):
+        # The same budget plans the same grid on every engine, and the
+        # grid alone fixes the bits.
+        source, target = problem
+        runs = []
+        for _ in range(3):
+            with SimilarityEngine(memory_budget=self.BUDGET, cache=False) as engine:
+                runs.append((engine.similarity(source, target), engine.resource_info()))
+        reference, reference_info = runs[0]
+        assert reference_info["shards"] > 1  # the budget forced a real grid
+        for scores, info in runs[1:]:
+            np.testing.assert_array_equal(scores, reference)
+            assert info == reference_info
+
     def test_match_results_identical_across_grids(self, problem):
         source, target = problem
         results = []
@@ -306,9 +322,13 @@ class TestShardGrid:
             kernel(shard.rows, shard.cols), dense[3:9, 2:7]
         )
 
+    def test_resource_info_before_any_compute(self):
+        # Nothing has run yet, so no shards.
+        with SimilarityEngine(chunk_rows=10) as engine:
+            assert engine.resource_info() == {"shards": 0}
+
     def test_resource_info_counts_shards(self, rng):
         with SimilarityEngine(chunk_rows=10, cache=False) as engine:
-            assert engine.resource_info() == {"shards": 0}
             engine.similarity(rng.normal(size=(25, 4)), rng.normal(size=(8, 4)))
             assert engine.resource_info() == {"shards": 3}
 
