@@ -76,6 +76,14 @@ BENCH_MODULES = (
     "test_soak.py",
 )
 
+#: BLAS thread counts for the benchmark process; the same values as
+#: ``perfbench/run.py``'s ``SINGLE_THREAD_ENV``.
+SINGLE_THREAD_ENV = {
+    "OPENBLAS_NUM_THREADS": "1",
+    "OMP_NUM_THREADS": "1",
+    "MKL_NUM_THREADS": "1",
+}
+
 #: Gate families in classification order (most specific key match first).
 FAMILIES = ("latency", "timing", "rate", "rss")
 
@@ -243,6 +251,10 @@ def run_benchmarks() -> int:
         sys.executable, "-m", "pytest", "-q", *BENCH_MODULES,
     ]
     env = dict(os.environ)
+    # One BLAS thread, as perfbench runs: on a small shared machine a
+    # default-threaded process can run every BLAS call ~10x slower when
+    # the other CPUs are busy, which reads as a regression of the code.
+    env.update(SINGLE_THREAD_ENV)
     src = str(BENCH_DIR.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     completed = subprocess.run(command, cwd=BENCH_DIR, env=env)

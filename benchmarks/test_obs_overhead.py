@@ -97,17 +97,18 @@ def _reference_sinkhorn(scores, iterations, temperature):
 
     def logsumexp(matrix, axis):
         peak = matrix.max(axis=axis, keepdims=True)
-        return peak + np.log(
-            np.maximum(np.exp(matrix - peak).sum(axis=axis, keepdims=True), _EPS)
-        )
+        np.subtract(matrix, peak, out=work)
+        np.exp(work, out=work)
+        return peak + np.log(np.maximum(work.sum(axis=axis, keepdims=True), _EPS))
 
     log_kernel = scores / temperature
     assert np.all(np.isfinite(log_kernel))
+    work = np.empty_like(log_kernel)
     for _ in range(iterations):
-        log_kernel = log_kernel - logsumexp(log_kernel, axis=1)
-        log_kernel = log_kernel - logsumexp(log_kernel, axis=0)
+        log_kernel -= logsumexp(log_kernel, axis=1)
+        log_kernel -= logsumexp(log_kernel, axis=0)
         assert np.all(np.isfinite(log_kernel))
-    return np.exp(log_kernel)
+    return np.exp(log_kernel, out=log_kernel)
 
 
 def test_disabled_tracing_overhead_under_budget():

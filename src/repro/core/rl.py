@@ -40,6 +40,8 @@ _NUM_FEATURES = 3
 #: Prior policy weights over [affinity, margin, coherence]: trust the raw
 #: scores, mildly reward coherence.
 _DEFAULT_THETA = np.array([4.0, 2.0, 1.0])
+#: Scores per row block of the static top-k partition.
+_STATIC_BLOCK_ELEMS = 2**19
 
 
 class RLMatcher(PipelineMatcher):
@@ -107,33 +109,39 @@ class RLMatcher(PipelineMatcher):
         scores = self._similarity(source[seed_pairs[:, 0]], target[seed_pairs[:, 1]])
         gold = np.arange(len(seed_pairs))  # row i's gold target is column i
         relatedness, target_affinity = _profile_similarities(scores)
+        k = min(self.top_k, scores.shape[1])
+        candidates, static = _static_features(scores, gold, k)  # every seed row
+        features = np.empty((k, _NUM_FEATURES))
+        matched_targets = np.empty(len(gold), dtype=np.int64)
         self.reward_history = []
         baseline = 0.0
         for _ in range(self.episodes):
+            # Sources are decided in this order, so its prefix is the
+            # list of already-matched sources.
             order = rng.permutation(len(gold))
             grad = np.zeros(_NUM_FEATURES)
             total_reward = 0.0
             used = np.zeros(scores.shape[1], dtype=bool)
-            matched_sources: list[int] = []
-            matched_targets: list[int] = []
-            for src in order:
-                candidates, features, taken = self._candidate_features(
-                    scores, src, used, matched_sources, matched_targets,
+            for count, src in enumerate(order):
+                row_candidates = candidates[src]
+                features[:, :2] = static[src]
+                features[:, 2] = self._coherence(
+                    src, row_candidates, order[:count], matched_targets[:count],
                     relatedness, target_affinity,
                 )
+                taken = used[row_candidates].astype(np.float64)
                 logits = features @ self.theta - self.exclusion_strength * taken
                 logits -= logits.max()
                 probs = np.exp(logits)
                 probs /= probs.sum()
-                choice = rng.choice(len(candidates), p=probs)
-                picked = candidates[choice]
+                choice = rng.choice(k, p=probs)
+                picked = row_candidates[choice]
                 reward = 1.0 if picked == gold[src] else 0.0
                 total_reward += reward
                 # REINFORCE: (r - b) * d log pi / d theta
                 grad += (reward - baseline) * (features[choice] - probs @ features)
                 used[picked] = True
-                matched_sources.append(int(src))
-                matched_targets.append(int(picked))
+                matched_targets[count] = picked
             mean_reward = total_reward / len(gold)
             self.reward_history.append(mean_reward)
             baseline = 0.9 * baseline + 0.1 * mean_reward
@@ -158,27 +166,36 @@ class RLMatcher(PipelineMatcher):
 
         with watch.measure("prefilter"):
             confident = self._confident_pairs(scores)
-        for src, tgt in confident:
-            assigned[src] = tgt
-            used[tgt] = True
-        matched_sources = [int(s) for s, _ in confident]
-        matched_targets = [int(t) for _, t in confident]
+        assigned[confident[:, 0]] = confident[:, 1]
+        used[confident[:, 1]] = True
 
         remaining = np.flatnonzero(assigned < 0)
         # Most decisive sources first, so early (likely-correct) decisions
         # constrain later ambiguous ones.
         remaining = remaining[np.argsort(-scores[remaining].max(axis=1), kind="stable")]
-        for src in remaining:
-            candidates, features, taken = self._candidate_features(
-                scores, int(src), used, matched_sources, matched_targets,
+        # Only the sequential phase needs features: prefiltered rows cost
+        # nothing here.
+        k = min(self.top_k, n_target)
+        candidates, static = _static_features(scores, remaining, k)
+        features = np.empty((k, _NUM_FEATURES))
+        # Confident pairs first, then every remaining source in decision order.
+        matched_sources = np.concatenate([confident[:, 0], remaining])
+        matched_targets = np.empty(n_source, dtype=np.int64)
+        matched_targets[: len(confident)] = confident[:, 1]
+        for position, src in enumerate(remaining):
+            count = len(confident) + position
+            row_candidates = candidates[position]
+            features[:, :2] = static[position]
+            features[:, 2] = self._coherence(
+                src, row_candidates, matched_sources[:count], matched_targets[:count],
                 relatedness, target_affinity,
             )
+            taken = used[row_candidates].astype(np.float64)
             logits = features @ self.theta - self.exclusion_strength * taken
-            picked = candidates[int(np.argmax(logits))]
+            picked = row_candidates[int(np.argmax(logits))]
             assigned[src] = picked
             used[picked] = True
-            matched_sources.append(int(src))
-            matched_targets.append(int(picked))
+            matched_targets[count] = picked
 
         memory.release("relatedness")
         rows = np.arange(n_source)
@@ -203,43 +220,60 @@ class RLMatcher(PipelineMatcher):
         keep = mutual & decisive
         return np.stack([rows[keep], forward[keep]], axis=1)
 
-    def _candidate_features(
+    def _coherence(
         self,
-        scores: np.ndarray,
         src: int,
-        used: np.ndarray,
-        matched_sources: list[int],
-        matched_targets: list[int],
+        candidates: np.ndarray,
+        matched_sources: np.ndarray,
+        matched_targets: np.ndarray,
         relatedness: np.ndarray,
         target_affinity: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Top-k candidates of ``src``, their policy features, and the
-        taken-flags consumed by the fixed exclusiveness penalty."""
-        row = scores[src]
-        k = min(self.top_k, scores.shape[1])
-        candidates = np.argpartition(row, scores.shape[1] - k)[-k:]
-        affinity = row[candidates]
-        # Standardise within the candidate set: weak encoders compress all
-        # similarities into a narrow band, and without normalisation the
-        # affinity signal would vanish against the other features.
-        spread = affinity.std()
-        if spread > 1e-12:
-            affinity = (affinity - affinity.mean()) / spread
-        else:
-            affinity = np.zeros_like(affinity)
-        margin = affinity - affinity.max()
-        taken = used[candidates].astype(np.float64)
-        coherence = np.zeros(len(candidates))
-        if matched_sources:
-            related = relatedness[src, matched_sources]
-            strong = related > self.relatedness_threshold
-            if strong.any():
-                weights = related[strong]
-                partner_targets = np.asarray(matched_targets, dtype=np.int64)[strong]
-                coherence = weights @ target_affinity[np.ix_(partner_targets, candidates)]
-                coherence /= weights.sum()
-        features = np.stack([affinity, margin, coherence], axis=1)
-        return candidates, features, taken
+    ) -> np.ndarray | float:
+        """The dynamic policy feature: how well each candidate agrees
+        with the targets that strongly related, already-matched sources
+        picked (0 when no matched source is strongly related)."""
+        related = relatedness[src, matched_sources]
+        strong = related > self.relatedness_threshold
+        if not strong.any():
+            return 0.0
+        weights = related[strong]
+        partners = matched_targets[strong]
+        coherence = weights @ target_affinity[partners[:, None], candidates]
+        coherence /= weights.sum()
+        return coherence
+
+
+def _static_features(
+    scores: np.ndarray, rows: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's top-``k`` candidates and its two static policy features.
+
+    Returns ``(candidates, static)`` of shapes ``(len(rows), k)`` and
+    ``(len(rows), k, 2)``; ``static[i]`` holds row ``rows[i]``'s
+    standardised affinity and margin, computed in the dtype of ``scores``
+    and stored as float64 (exact for float32 scores).
+    Neither depends on the episode state, so one vectorised pass serves
+    every decision step.  The partition runs over row blocks of about
+    ``_STATIC_BLOCK_ELEMS`` scores, bounding its index temporaries.
+    """
+    n_target = scores.shape[1]
+    candidates = np.empty((len(rows), k), dtype=np.int64)
+    step = max(1, _STATIC_BLOCK_ELEMS // n_target)
+    for start in range(0, len(rows), step):
+        block = scores[rows[start:start + step]]
+        candidates[start:start + step] = np.argpartition(block, n_target - k, axis=1)[:, -k:]
+    affinity = scores[rows[:, None], candidates]
+    # Standardise within the candidate set: weak encoders compress all
+    # similarities into a narrow band, and without normalisation the
+    # affinity signal would vanish against the other features.  A row
+    # without spread gets zero affinity.
+    spread = affinity.std(axis=1, keepdims=True)
+    affinity = np.divide(
+        affinity - affinity.mean(axis=1, keepdims=True), spread,
+        out=np.zeros_like(affinity), where=spread > 1e-12,
+    )
+    margin = affinity - affinity.max(axis=1, keepdims=True)
+    return candidates, np.stack([affinity, margin], axis=2, dtype=np.float64)
 
 
 def _profile_similarities(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

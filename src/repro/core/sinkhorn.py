@@ -52,13 +52,16 @@ def sinkhorn_scores(
     with np.errstate(over="ignore"):
         log_kernel = scores / temperature
     _check_converged(log_kernel, temperature, iteration=0)
+    # Every sweep normalises in place, with one work buffer for the
+    # shifted and exponentiated kernel.
+    work = np.empty_like(log_kernel)
     for iteration in range(1, iterations + 1):
         with obs_trace.span("sinkhorn.iter", k=iteration):
-            log_kernel = log_kernel - _logsumexp(log_kernel, axis=1, keepdims=True)  # rows
-            log_kernel = log_kernel - _logsumexp(log_kernel, axis=0, keepdims=True)  # cols
+            log_kernel -= _logsumexp(log_kernel, axis=1, work=work)  # rows
+            log_kernel -= _logsumexp(log_kernel, axis=0, work=work)  # cols
             _check_converged(log_kernel, temperature, iteration)
     obs_metrics.get_metrics().inc("sinkhorn.iterations", iterations)
-    return np.exp(log_kernel)
+    return np.exp(log_kernel, out=log_kernel)
 
 
 def _check_converged(log_kernel: np.ndarray, temperature: float, iteration: int) -> None:
@@ -82,10 +85,13 @@ def _check_converged(log_kernel: np.ndarray, temperature: float, iteration: int)
     )
 
 
-def _logsumexp(matrix: np.ndarray, axis: int, keepdims: bool) -> np.ndarray:
+def _logsumexp(matrix: np.ndarray, axis: int, work: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of ``matrix`` along ``axis`` (dimension kept), using
+    ``work`` (same shape) as scratch space."""
     peak = matrix.max(axis=axis, keepdims=True)
-    result = peak + np.log(np.maximum(np.exp(matrix - peak).sum(axis=axis, keepdims=True), _EPS))
-    return result if keepdims else np.squeeze(result, axis=axis)
+    np.subtract(matrix, peak, out=work)
+    np.exp(work, out=work)
+    return peak + np.log(np.maximum(work.sum(axis=axis, keepdims=True), _EPS))
 
 
 class Sinkhorn(PipelineMatcher):
@@ -112,8 +118,8 @@ class Sinkhorn(PipelineMatcher):
     def _transform(
         self, scores: np.ndarray, watch: Stopwatch, memory: MemoryTracker
     ) -> np.ndarray:
-        # Working set: the log kernel plus the shifted/exponentiated
-        # intermediate produced by every normalisation sweep.
+        # Working set: the log kernel plus the work buffer that every
+        # normalisation sweep reuses.
         memory.allocate("kernel", 2 * scores.nbytes)
         result = sinkhorn_scores(scores, self.iterations, self.temperature)
         memory.release("kernel")

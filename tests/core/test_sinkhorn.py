@@ -120,3 +120,51 @@ class TestDivergenceGuard:
         scores = np.array([[1.0, 0.0], [0.0, 1.0]])
         out = sinkhorn_scores(scores, iterations=50, temperature=0.02)
         assert np.all(np.isfinite(out))
+
+
+def _legacy_sinkhorn_scores(scores, iterations, temperature):
+    """The allocate-per-sweep log-domain loop: three new arrays a sweep."""
+
+    def logsumexp(matrix, axis):
+        peak = matrix.max(axis=axis, keepdims=True)
+        return peak + np.log(
+            np.maximum(np.exp(matrix - peak).sum(axis=axis, keepdims=True), 1e-12)
+        )
+
+    log_kernel = np.asarray(scores, dtype=np.float64) / temperature
+    for _ in range(iterations):
+        log_kernel = log_kernel - logsumexp(log_kernel, axis=1)
+        log_kernel = log_kernel - logsumexp(log_kernel, axis=0)
+    return np.exp(log_kernel)
+
+
+class TestInPlaceNormalisation:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_caller_scores_unmodified(self, dtype, rng):
+        scores = rng.random((17, 23)).astype(dtype)
+        before = scores.copy()
+        out = sinkhorn_scores(scores, iterations=10, temperature=0.05)
+        assert scores.dtype == dtype
+        assert scores.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, scores)
+
+    @pytest.mark.parametrize(
+        "shape, iterations, temperature",
+        [
+            ((20, 20), 0, 0.02),
+            ((20, 20), 1, 0.02),
+            ((31, 19), 7, 0.1),
+            ((19, 31), 100, 0.02),
+            ((40, 40), 100, 0.005),
+            ((1, 9), 5, 0.02),
+            ((9, 1), 5, 0.02),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_equals_allocating_loop(self, shape, iterations, temperature, dtype):
+        scores = np.random.default_rng(sum(shape) + iterations).normal(size=shape)
+        scores = scores.astype(dtype)
+        out = sinkhorn_scores(scores, iterations=iterations, temperature=temperature)
+        expected = _legacy_sinkhorn_scores(scores, iterations, temperature)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()

@@ -5,10 +5,12 @@ it is loaded here by file path.  The tests pin (a) the key-name ->
 family classification, including the precedence that keeps
 ``p99_seconds`` out of the generic timing family, (b) the latency gate
 band (>40% *and* >20 ms), and (c) that every failure line names the
-family that tripped — the property the CI log diagnosis relies on.
+family that tripped — the property the CI log diagnosis relies on — and
+(d) that the re-run benchmarks get perfbench's one-BLAS-thread environment.
 """
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -145,3 +147,24 @@ class TestInjectedBaselineRegression:
             "[latency]" in line and "soak.p99_seconds" in line
             for line in failures
         )
+
+
+class TestBenchmarkEnvironment:
+    def test_benchmarks_run_one_blas_thread_like_perfbench(self, monkeypatch):
+        seen = {}
+
+        def fake_run(command, cwd, env):
+            seen.update(env)
+            return subprocess.CompletedProcess(command, 0)
+
+        monkeypatch.setattr(check_regression.subprocess, "run", fake_run)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+        assert check_regression.run_benchmarks() == 0
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", _SCRIPT.parents[1] / "perfbench" / "run.py"
+        )
+        perfbench_run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(perfbench_run)
+        expected = perfbench_run.SINGLE_THREAD_ENV
+        assert {name: seen[name] for name in expected} == expected
+        assert check_regression.SINGLE_THREAD_ENV == expected
