@@ -138,12 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument("--shard-rows", type=int, default=None, metavar="ROWS",
                        help="rows per similarity shard (default: sized from "
                             "the chunk/memory budget)")
-    match.add_argument("--sharded-k", type=int, default=None, metavar="K",
-                       help="with --on-error fallback: on a memory-budget "
-                            "breach, rebuild the problem as blocked top-K "
-                            "candidate lists (IVF coarse-to-fine) and rerun "
-                            "the same matcher sparsely — the dense->sharded "
-                            "rung, tried before --sparse-k's rung")
     match.add_argument("--dtype", choices=["float32", "float64"], default="float64",
                        help="similarity compute precision (float32 halves "
                             "memory bandwidth on the score matrix)")
@@ -895,7 +889,6 @@ def _match_policy(args: argparse.Namespace) -> SupervisorPolicy:
         retries=args.retries,
         on_error=args.on_error,
         sparse_k=args.sparse_k,
-        sharded_k=args.sharded_k,
     )
 
 

@@ -63,8 +63,8 @@ def blocked_candidates(
 ) -> CandidateSet:
     """Top-``k`` candidate lists via IVF blocking, in budgeted row batches.
 
-    The coarse-to-fine rung of the degradation ladder and the candidate
-    front end of the scale benchmarks.  ``memory_budget`` (bytes) sizes
+    The candidate front end of the scale benchmarks and the offline
+    scan.  ``memory_budget`` (bytes) sizes
     the query batches; ``n_clusters`` / ``nprobe`` default to the usual
     sqrt(n) coarse sizing.  Returns the same set any batching would:
     batches only bound the working set.

@@ -25,18 +25,13 @@ work:
   ``on_error="fallback"``, optimal matchers fall back to cheaper ones
   (``Hun.`` -> ``Greedy``, ``Sink.`` -> ``CSLS``); the fallback chain is
   recorded on the :class:`SupervisedRun`, never applied silently.
-* **Dense -> sharded rung** — with ``policy.sharded_k`` set, a *memory*
-  breach by a sparse-capable matcher first retries the same algorithm on
-  coarse-to-fine *blocked* candidate lists
-  (:func:`~repro.index.blocked.blocked_candidates`): the IVF quantizer
-  routes the problem into memory-budgeted row batches, so the rung works
-  even when the exact top-k scan itself is what breached.  Recorded as
-  ``"<name>+sharded"``.
 * **Dense -> sparse rung** — with ``policy.sparse_k`` set, a *memory*
   breach by a sparse-capable matcher (``Matcher.supports_sparse``)
   retries the *same algorithm* on exact top-``sparse_k`` candidate
   lists — O(n k) working set instead of n x n — before any ladder hop
-  swaps the algorithm.  The chain records the rung as ``"<name>+sparse"``.
+  swaps the algorithm.  The lists come from an exact scan in row chunks
+  sized to the policy budget.  The chain records the rung as
+  ``"<name>+sparse"``; ladder hops that inherit the lists keep it.
 
 While an attempt runs, the policy's memory budget is published as the
 ambient budget (:mod:`repro.runtime.budget`), so deep allocation sites
@@ -72,6 +67,8 @@ from repro.obs import events as obs_events
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.runtime.budget import budget_scope
+from repro.similarity.engine import SimilarityEngine
+from repro.utils.parallel import budget_elems, rows_per_chunk
 from repro.utils.rng import ensure_rng
 
 _ON_ERROR = ("raise", "skip", "fallback")
@@ -133,12 +130,6 @@ class SupervisorPolicy:
     #: a sparse-capable matcher retries the same matcher on its top-k
     #: candidate lists before any ladder hop; None disables the rung.
     sparse_k: int | None = None
-    #: Candidate-list width for the dense -> *sharded* rung, tried before
-    #: the sparse rung: candidates come from IVF-blocked, memory-budgeted
-    #: batches (:func:`~repro.index.blocked.blocked_candidates`) instead
-    #: of an exact top-k scan, so the rung survives problems where even
-    #: the scan's working set breaches.  None disables the rung.
-    sharded_k: int | None = None
     #: Seed of the backoff-jitter stream (same seed -> same schedule).
     seed: int = 0
     #: Matcher name -> cheaper replacement (see :data:`DEGRADATION_LADDER`).
@@ -163,8 +154,6 @@ class SupervisorPolicy:
             )
         if self.sparse_k is not None and self.sparse_k < 1:
             raise ValueError(f"sparse_k must be >= 1, got {self.sparse_k}")
-        if self.sharded_k is not None and self.sharded_k < 1:
-            raise ValueError(f"sharded_k must be >= 1, got {self.sharded_k}")
 
 
 def backoff_schedule(policy: SupervisorPolicy) -> list[float]:
@@ -311,9 +300,6 @@ class RunSupervisor:
         context = dict(context or {})
         current, current_name = matcher, requested
         registry = self._registry()
-        # Which rung produced the candidate lists in play ("+sharded" /
-        # "+sparse"); caller-supplied candidates count as the sparse path.
-        rung_marker = "+sparse" if candidates is not None else ""
         while True:
             run.chain.append(current_name)
             error = self._attempt_with_retries(
@@ -327,19 +313,6 @@ class RunSupervisor:
                     registry.inc("supervisor.degraded_runs")
                 return run
             run.error = error
-            sharded = self._sharded_rung(current, current_name, source, target, error, candidates)
-            if sharded is not None:
-                registry.inc("supervisor.sharded_degradations")
-                _signal(
-                    "supervisor.degrade_sharded",
-                    matcher=current_name,
-                    k=self.policy.sharded_k,
-                    error=type(error).__name__,
-                )
-                candidates = sharded
-                rung_marker = "+sharded"
-                current_name = f"{current_name}+sharded"
-                continue
             sparse = self._sparse_rung(current, current_name, source, target, error, candidates)
             if sparse is not None:
                 registry.inc("supervisor.sparse_degradations")
@@ -350,7 +323,6 @@ class RunSupervisor:
                     error=type(error).__name__,
                 )
                 candidates = sparse
-                rung_marker = "+sparse"
                 current_name = f"{current_name}+sparse"
                 continue
             fallback_name = self._fallback_for(current_name)
@@ -365,9 +337,9 @@ class RunSupervisor:
                         error=type(error).__name__,
                     )
                     if candidates is not None:
-                        # The hop inherits the rung's candidate lists;
-                        # keep the marker so the chain stays honest.
-                        fallback_name = f"{fallback_name}{rung_marker}"
+                        # The hop inherits the candidate lists; keep
+                        # the marker so the chain stays honest.
+                        fallback_name = f"{fallback_name}+sparse"
                     current, current_name = fallback, fallback_name
                     continue
             # The ledger's resolution="skipped" entries plus raised runs.
@@ -383,45 +355,6 @@ class RunSupervisor:
 
     # -- internals -----------------------------------------------------
 
-    def _sharded_rung(
-        self,
-        matcher: Matcher,
-        name: str,
-        source: np.ndarray,
-        target: np.ndarray,
-        error: MatcherError,
-        candidates: "CandidateSet | None",
-    ) -> "CandidateSet | None":
-        """Blocked candidate lists for the dense -> sharded rung, or None.
-
-        Same trigger discipline as the sparse rung (memory breach, once,
-        sparse-capable matcher), but the lists are built *out of core*:
-        the IVF coarse quantizer routes the problem into row batches
-        sized to the policy's memory budget, so the rung survives scales
-        where even the exact top-k scan would breach.
-        """
-        if (
-            self.policy.on_error != "fallback"
-            or self.policy.sharded_k is None
-            or candidates is not None
-            or not isinstance(error, ResourceBudgetExceeded)
-            or not matcher.supports_sparse
-        ):
-            return None
-        try:
-            from repro.index.blocked import blocked_candidates
-
-            return blocked_candidates(
-                source,
-                target,
-                self.policy.sharded_k,
-                metric=getattr(matcher, "metric", "cosine"),
-                memory_budget=self.policy.memory_budget,
-            )
-        except Exception:  # noqa: BLE001 - the original breach stays primary
-            _signal("supervisor.sharded_rung_failed", matcher=name)
-            return None
-
     def _sparse_rung(
         self,
         matcher: Matcher,
@@ -436,8 +369,11 @@ class RunSupervisor:
         The rung applies only to a *memory* breach (a deadline breach
         means the algorithm is too slow; shrinking its input is the
         ladder's job), only once (``candidates is None``), and only for
-        matchers with a real sparse path.  A failure while building the
-        lists disables the rung rather than masking the original error.
+        matchers with a real sparse path.  The exact scan runs in row
+        chunks sized to the policy budget by the shard grid's rule
+        (:func:`~repro.utils.parallel.budget_elems`), whatever budget the
+        matcher's engine carries.  A failure while building the lists
+        disables the rung rather than masking the original error.
         """
         if (
             self.policy.on_error != "fallback"
@@ -448,14 +384,15 @@ class RunSupervisor:
         ):
             return None
         try:
-            from repro.index.config import IndexConfig, build_candidates
-
-            return build_candidates(
+            engine = matcher.engine if matcher.engine is not None else SimilarityEngine(cache=False)
+            return engine.top_k_candidates(
                 source,
                 target,
-                IndexConfig(kind="exact", k=self.policy.sparse_k),
-                engine=matcher.engine,
+                self.policy.sparse_k,
                 metric=getattr(matcher, "metric", "cosine"),
+                chunk_size=rows_per_chunk(
+                    len(target), budget_elems(self.policy.memory_budget)
+                ),
             )
         except Exception:  # noqa: BLE001 - the original breach stays primary
             _signal("supervisor.sparse_rung_failed", matcher=name)
@@ -608,11 +545,9 @@ class RunSupervisor:
         return isinstance(error, (DeadlineExceeded, ResourceBudgetExceeded))
 
     def _fallback_for(self, name: str) -> str | None:
-        # A "+sparse"/"+sharded" rung keeps its base matcher's ladder
-        # entry, so a still-breaching rung run can degrade the algorithm.
-        return self.policy.fallbacks.get(
-            name.removesuffix("+sparse").removesuffix("+sharded")
-        )
+        # A "+sparse" rung keeps its base matcher's ladder entry, so a
+        # still-breaching rung run can degrade the algorithm.
+        return self.policy.fallbacks.get(name.removesuffix("+sparse"))
 
     def _build_fallback(self, name: str, failed: Matcher) -> Matcher | None:
         """Instantiate the ladder replacement, inheriting metric + engine."""

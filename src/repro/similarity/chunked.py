@@ -15,6 +15,8 @@ error.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.similarity.metrics import prepare_metric
@@ -22,16 +24,50 @@ from repro.utils.parallel import row_chunks
 from repro.utils.validation import check_embedding_matrix, check_shape_compatible
 
 
-def _best_first_top_k(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top-``k`` per row of ``block``, ordered best-first."""
+def best_first_top_k(block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-``k`` per row of ``block`` under the total order ``(-score,
+    column asc)``, the order :class:`~repro.index.candidates.TopK` keeps.
+
+    A partial sort picks each row's ``k + 1`` best, the ``(k + 1)``-th
+    first.  Only rows where that score reaches the ``k``-th (a tie at
+    the cut) are re-selected exactly, over the columns that reach it.
+    """
     n_cols = block.shape[1]
-    part = np.argpartition(block, n_cols - k, axis=1)[:, -k:]
+    cut = max(n_cols - k - 1, 0)
+    part = np.argpartition(block, cut, axis=1)[:, cut:]
     part_scores = np.take_along_axis(block, part, axis=1)
-    order = np.argsort(-part_scores, axis=1)
+    if part.shape[1] > k:
+        kth = part_scores[:, 1:].min(axis=1)
+        tied = np.flatnonzero(part_scores[:, 0] >= kth)
+        part, part_scores = part[:, 1:], part_scores[:, 1:]
+        if len(tied):
+            rows, cols = np.nonzero(block[tied] >= kth[tied, None])
+            values = block[tied[rows], cols]
+            exact = np.lexsort((cols, -values, rows))
+            counts = np.bincount(rows, minlength=len(tied))
+            pick = exact[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+            part[tied], part_scores[tied] = cols[pick], values[pick]
+    order = np.lexsort((part, -part_scores), axis=1)
     return (
         np.take_along_axis(part, order, axis=1),
         np.take_along_axis(part_scores, order, axis=1),
     )
+
+
+def select_top_k(
+    score_rows: Callable[[slice], np.ndarray],
+    n_rows: int,
+    k: int,
+    chunk_size: int,
+    dtype: np.dtype,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best-first top-``k`` of each row of ``score_rows(rows)``, selected
+    one chunk of ``chunk_size`` rows at a time."""
+    indices = np.empty((n_rows, k), dtype=np.int64)
+    scores = np.empty((n_rows, k), dtype=dtype)
+    for rows in row_chunks(n_rows, chunk_size):
+        indices[rows], scores[rows] = best_first_top_k(score_rows(rows), k)
+    return indices, scores
 
 
 def chunked_top_k(
@@ -45,7 +81,8 @@ def chunked_top_k(
     """Exact top-``k`` candidates per source, computed in row chunks.
 
     Returns ``(indices, scores)`` of shape (n_source, k), both ordered
-    best-first.  Peak memory is one ``chunk_size x n_target`` block.
+    best-first, ties by ascending target index.  Peak memory is one
+    ``chunk_size x n_target`` block.
     """
     source = check_embedding_matrix(source, "source")
     target = check_embedding_matrix(target, "target")
@@ -62,8 +99,4 @@ def chunked_top_k(
     n_source, n_target = source.shape[0], target.shape[0]
     k = min(k, n_target)
     kernel = prepare_metric(metric, source, target)
-    indices = np.empty((n_source, k), dtype=np.int64)
-    scores = np.empty((n_source, k), dtype=source.dtype)
-    for rows in row_chunks(n_source, chunk_size):
-        indices[rows], scores[rows] = _best_first_top_k(kernel(rows), k)
-    return indices, scores
+    return select_top_k(kernel, n_source, k, chunk_size, source.dtype)

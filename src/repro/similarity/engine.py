@@ -52,10 +52,9 @@ import numpy as np
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.similarity.chunked import chunked_top_k
+from repro.similarity.chunked import chunked_top_k, select_top_k
 from repro.similarity.metrics import prepare_metric
-from repro.similarity.topk import top_k_indices
-from repro.utils.parallel import DEFAULT_CHUNK_ELEMS, plan_shards, rows_per_chunk
+from repro.utils.parallel import DEFAULT_CHUNK_ELEMS, budget_elems, plan_shards, rows_per_chunk
 from repro.utils.validation import check_embedding_matrix, check_shape_compatible
 
 #: Cache key: (source digest, target digest, metric, dtype name).
@@ -296,6 +295,13 @@ class SimilarityEngine:
 
     # -- chunked entry points ------------------------------------------
 
+    def _top_k_rows(self, n_target: int) -> int:
+        """Rows per top-k chunk: ``chunk_rows``, else a row band of the
+        shard grid's element budget (:func:`~repro.utils.parallel.budget_elems`)."""
+        return self.chunk_rows or rows_per_chunk(
+            n_target, budget_elems(self.memory_budget, self.dtype.itemsize, self.chunk_elems)
+        )
+
     def top_k(
         self,
         source: np.ndarray,
@@ -308,11 +314,11 @@ class SimilarityEngine:
 
         Candidate lists are not cached (they are k/n_target the size of S
         and cheap to regenerate); the engine contributes its dtype and
-        chunk policy.
+        chunk policy, and ``memory_budget`` caps the rows per chunk by the
+        shard grid's rule.
         """
         if chunk_size is None:
-            n_target = np.asarray(target).shape[0]
-            chunk_size = self.chunk_rows or rows_per_chunk(n_target, self.chunk_elems)
+            chunk_size = self._top_k_rows(np.asarray(target).shape[0])
         return chunked_top_k(
             source, target, k, chunk_size=chunk_size, metric=metric, dtype=self.dtype
         )
@@ -332,6 +338,8 @@ class SimilarityEngine:
         the cached matrix is O(n^2) selection, not O(n^2 d) computation,
         and counts as a cache hit — otherwise the streamed
         :meth:`top_k` kernel runs and no n x n array is ever allocated.
+        Both branches select with the same row-chunked function, so
+        cached and cold lists are identical, ties by ascending target.
         The derived candidate lists themselves are not cached (k/n the
         size of S and cheap to regenerate).
         """
@@ -344,6 +352,8 @@ class SimilarityEngine:
             raise ValueError(f"k must be >= 1, got {k}")
         n_target = target.shape[0]
         k = min(k, n_target)
+        if chunk_size is None:
+            chunk_size = self._top_k_rows(n_target)
         if self.cache_enabled:
             key = self._cache_key(source, target, metric)
             with self._lock:
@@ -354,11 +364,10 @@ class SimilarityEngine:
             if entry is not None:
                 obs_metrics.get_metrics().inc("engine.cache.hits")
                 obs_trace.event("engine.topk.from_cache", metric=metric, k=k)
-                indices = top_k_indices(entry.matrix, k, axis=1)
-                scores = np.take_along_axis(entry.matrix, indices, axis=1)
-                return CandidateSet.from_topk(
-                    indices, scores.astype(np.float64), n_targets=n_target
+                indices, scores = select_top_k(
+                    entry.matrix.__getitem__, source.shape[0], k, chunk_size, entry.matrix.dtype
                 )
+                return CandidateSet.from_topk(indices, scores, n_targets=n_target)
         with obs_trace.span(
             "engine.topk", metric=metric, rows=source.shape[0], cols=n_target, k=k
         ):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.similarity.chunked import best_first_top_k
 from repro.utils.validation import check_score_matrix
 
 
@@ -38,16 +39,13 @@ def top_k_values(scores: np.ndarray, k: int, axis: int = 1) -> np.ndarray:
 
 
 def top_k_indices(scores: np.ndarray, k: int, axis: int = 1) -> np.ndarray:
-    """Indices of the ``k`` largest scores along ``axis``, best first."""
+    """Indices of the ``k`` largest scores along ``axis``, best first,
+    ties by ascending index (the selection of the exact candidate scan)."""
     scores = check_score_matrix(scores)
     if axis not in (0, 1):
         raise ValueError(f"axis must be 0 or 1, got {axis}")
     working = scores if axis == 1 else scores.T
-    k = _check_k(k, working.shape[1])
-    part = np.argpartition(working, working.shape[1] - k, axis=1)[:, -k:]
-    row_values = np.take_along_axis(working, part, axis=1)
-    order = np.argsort(-row_values, axis=1)
-    return np.take_along_axis(part, order, axis=1)
+    return best_first_top_k(working, _check_k(k, working.shape[1]))[0]
 
 
 def top_k_mean(scores: np.ndarray, k: int, axis: int = 1) -> np.ndarray:

@@ -4,6 +4,7 @@ This module centralises the policies every chunked kernel shares:
 
 * :func:`rows_per_chunk` / :func:`row_chunks` — how a row range is cut
   into independent work items (the *chunk grid*);
+* :func:`budget_elems` — how a memory budget caps one work item;
 * :func:`plan_shards` — the 2-D grid of row x column tiles the
   similarity engine scores.
 
@@ -45,6 +46,24 @@ def rows_per_chunk(
     if chunk_elems < 1:
         raise ValueError(f"chunk_elems must be >= 1, got {chunk_elems}")
     return max(min_rows, chunk_elems // max(1, elems_per_row))
+
+
+def budget_elems(
+    memory_budget: int | None,
+    itemsize: int = 8,
+    chunk_elems: int = DEFAULT_CHUNK_ELEMS,
+) -> int:
+    """Elements one work item may materialise: ``chunk_elems``, capped at
+    ``memory_budget / SHARD_BUDGET_FACTOR`` bytes when a budget is set.
+
+    The one budget rule of the shard grid (:func:`plan_shards`) and the
+    row-chunked top-k scan.
+    """
+    if memory_budget is None:
+        return chunk_elems
+    if memory_budget < 1:
+        raise ValueError(f"memory_budget must be >= 1 byte, got {memory_budget}")
+    return min(chunk_elems, max(1, memory_budget // (SHARD_BUDGET_FACTOR * max(1, itemsize))))
 
 
 def row_chunks(n_rows: int, chunk_rows: int) -> list[slice]:
@@ -105,13 +124,7 @@ def plan_shards(
     """
     if n_rows < 0 or n_cols < 0:
         raise ValueError(f"shape must be non-negative, got ({n_rows}, {n_cols})")
-    if memory_budget is not None:
-        if memory_budget < 1:
-            raise ValueError(f"memory_budget must be >= 1 byte, got {memory_budget}")
-        shard_elems = max(1, memory_budget // (SHARD_BUDGET_FACTOR * max(1, itemsize)))
-        shard_elems = min(shard_elems, chunk_elems)
-    else:
-        shard_elems = chunk_elems
+    shard_elems = budget_elems(memory_budget, itemsize, chunk_elems)
     if n_rows == 0 or n_cols == 0:
         return []
     cols_per = chunk_cols if chunk_cols is not None else min(n_cols, shard_elems)

@@ -136,6 +136,20 @@ class TestSupervisedMatch:
         assert "Greedy" in out
         assert "F1=" in out
 
+    def test_sparse_k_reruns_the_matcher_on_candidate_lists(self, capsys):
+        # 0.05 MiB is below Hun.'s dense working set; --sparse-k
+        # retries Hun. on exact top-25 candidate lists.
+        code = main([
+            "match", "dbp15k/zh_en", "--matcher", "Hun.", "--scale", "0.2",
+            "--memory-budget", "0.05", "--on-error", "fallback", "--sparse-k", "25",
+        ])
+        assert code == 0
+        degraded = [
+            line for line in capsys.readouterr().out.splitlines() if "DEGRADED:" in line
+        ]
+        assert len(degraded) == 1
+        assert degraded[0].rstrip().split(" after ")[0].endswith("+sparse")
+
 
 class TestIndexCommands:
     def test_match_accepts_index_flags(self):

@@ -12,7 +12,10 @@ at full probe width must reproduce it:
   and on forced 2-D grids, and ``chunked_top_k``)
   with the same ids wherever the oracle's k-th and (k+1)-th scores
   differ by more than 1e-9 (closer than that, roundoff may legitimately
-  swap them).
+  swap them);
+* the exact paths (``chunked_top_k`` at several chunkings, the engine's
+  cache-hit selection) against full-probe ``IVFIndex.search`` on
+  duplicated targets: the same ids, ties included.
 
 The inputs hold exact duplicate vectors, so ties at the cut span
 inverted lists, and tombstoned positions.
@@ -151,6 +154,33 @@ def test_path_matches_oracle(path, metric, seed, tmp_path):
             # (a duplicate scores 0 or about -2e-8 depending on the grid).
             scores, want = np.square(scores), np.square(want)
         np.testing.assert_allclose(scores, want, atol=1e-9)
+
+
+# -- exact ties ---------------------------------------------------------
+#
+# Rows 20-39 of the target copy rows 0-19, so every query's list holds
+# tied pairs, within the top k and at the cut.  The exact scan (at any
+# chunking), the engine's selection from a cached S and full-probe IVF
+# all order by ``(-score, id asc)``: their ids agree exactly.
+
+
+@pytest.mark.parametrize("metric", ["cosine", "euclidean", "manhattan"])
+def test_exact_paths_break_ties_like_full_probe_ivf(metric):
+    rng = np.random.default_rng(0)
+    targets = rng.normal(size=(40, 8))
+    targets[20:] = targets[:20]
+    queries = np.concatenate([rng.normal(size=(10, 8)), targets[[3, 27]]])
+    index = IVFIndex(n_clusters=CLUSTERS, metric=metric).train(targets).add(targets)
+    found = index.search(queries, K, nprobe=CLUSTERS)
+    want = np.array([found.row(i)[0] for i in range(len(queries))])
+    for chunk_size in (1, 3, 10):
+        ids, _ = chunked_top_k(queries, targets, K, chunk_size=chunk_size, metric=metric)
+        np.testing.assert_array_equal(ids, want)
+    with SimilarityEngine() as engine:
+        engine.similarity(queries, targets, metric=metric)
+        cached = engine.top_k_candidates(queries, targets, K, metric=metric)
+        assert engine.stats.hits == 1
+    np.testing.assert_array_equal(cached.indices.reshape(-1, K), want)
 
 
 # -- the certified cosine scan -----------------------------------------

@@ -602,69 +602,37 @@ class TestSparseRung:
         assert run.chain == ["CSLS"]
         assert len(run.result.pairs) == 8
 
+    @pytest.mark.parametrize("engine", [None, "no-budget"])
+    def test_rung_scan_is_chunked_to_the_policy_budget(self, engine, monkeypatch):
+        # The exact scan's row chunks follow the policy budget by the
+        # shard grid's rule, whether the matcher has no engine or one
+        # that carries no budget of its own.
+        import repro.similarity.engine as engine_module
+        from repro.similarity import SimilarityEngine
+        from repro.utils.parallel import SHARD_BUDGET_FACTOR
 
-class TestShardedRung:
-    """The dense -> sharded rung (policy.sharded_k), tried before sparse."""
+        chunk_sizes = []
+        real = engine_module.chunked_top_k
 
-    POLICY = dict(memory_budget=2**20, on_error="fallback", sharded_k=5)
+        def spy(*args, chunk_size, **kwargs):
+            chunk_sizes.append(chunk_size)
+            return real(*args, chunk_size=chunk_size, **kwargs)
 
-    def test_sharded_k_validated(self):
-        with pytest.raises(ValueError, match="sharded_k"):
-            SupervisorPolicy(sharded_k=0)
-
-    def test_memory_breach_reruns_on_blocked_candidates(self):
-        source, target = _embeddings(n=12)
-        registry = MetricsRegistry()
-        supervisor = RunSupervisor(SupervisorPolicy(**self.POLICY), metrics=registry)
-        run = supervisor.run(_HungrySparse(), source, target)
+        monkeypatch.setattr(engine_module, "chunked_top_k", spy)
+        budget = 2**14
+        source, target = _embeddings(n=40)
+        matcher = _HungrySparse()
+        if engine is not None:
+            matcher.engine = SimilarityEngine(cache=False)
+        supervisor = RunSupervisor(
+            SupervisorPolicy(memory_budget=budget, on_error="fallback", sparse_k=5)
+        )
+        run = supervisor.run(matcher, source, target)
+        assert run.chain == ["CSLS", "CSLS+sparse"]
         assert run.ok
-        assert run.chain == ["CSLS", "CSLS+sharded"]
-        assert run.executed == "CSLS+sharded"
-        assert len(run.result.pairs) == 12
-        assert registry.counter("supervisor.sharded_degradations") == 1
-        assert registry.counter("supervisor.sparse_degradations") == 0
-        assert registry.counter("supervisor.degradations") == 0
-
-    def test_sharded_rung_outranks_the_sparse_rung(self):
-        source, target = _embeddings(n=12)
-        registry = MetricsRegistry()
-        supervisor = RunSupervisor(
-            SupervisorPolicy(**self.POLICY, sparse_k=5), metrics=registry
-        )
-        run = supervisor.run(_HungrySparse(), source, target)
-        assert run.chain == ["CSLS", "CSLS+sharded"]
-        assert registry.counter("supervisor.sharded_degradations") == 1
-        assert registry.counter("supervisor.sparse_degradations") == 0
-
-    def test_ladder_hop_keeps_the_sharded_marker(self):
-        source, target = _embeddings(n=10)
-        registry = MetricsRegistry()
-        supervisor = RunSupervisor(SupervisorPolicy(**self.POLICY), metrics=registry)
-        run = supervisor.run(_HungryEverywhere(), source, target)
-        assert run.chain == ["CSLS", "CSLS+sharded", "Greedy+sharded"]
-        assert run.ok
-        assert registry.counter("supervisor.sharded_degradations") == 1
-        assert registry.counter("supervisor.degradations") == 1
-
-    def test_dense_only_matcher_skips_the_rung(self):
-        source, target = _embeddings()
-        supervisor = RunSupervisor(
-            SupervisorPolicy(memory_budget=2**20, on_error="skip", sharded_k=5)
-        )
-        run = supervisor.run(_HungryMatcher(), source, target)
-        assert not run.ok
-        assert isinstance(run.error, ResourceBudgetExceeded)
-        assert run.chain == ["Hungry"]
-
-    def test_deadline_breach_never_takes_the_rung(self):
-        source, target = _embeddings()
-        supervisor = RunSupervisor(
-            SupervisorPolicy(
-                timeout=0.05, on_error="fallback", sharded_k=5, retries=0
-            )
-        )
-        run = supervisor.run(_StallingMatcher(seconds=0.4), source, target)
-        assert "Stall+sharded" not in run.chain
+        (chunk_size,) = chunk_sizes
+        assert 1 <= chunk_size < len(source)
+        assert chunk_size * len(target) * 8 * SHARD_BUDGET_FACTOR <= budget
 
     def test_densify_mid_run_is_caught_as_budget_breach(self):
         # The policy budget is ambient during the attempt: a matcher that

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.similarity.chunked import chunked_top_k
+from repro.similarity.chunked import best_first_top_k, chunked_top_k
 from repro.similarity.metrics import similarity_matrix
 from repro.similarity.topk import top_k_values
 
@@ -48,6 +48,26 @@ class TestChunkedTopK:
         indices, _ = chunked_top_k(source, target, k=1, metric=metric)
         dense = similarity_matrix(source, target, metric=metric)
         np.testing.assert_array_equal(indices[:, 0], dense.argmax(axis=1))
+
+
+class TestTieOrder:
+    """Selection under ``(-score, column asc)``, ties included."""
+
+    @pytest.mark.parametrize("levels", [2, 3, 7, 1000])
+    @pytest.mark.parametrize("k", [1, 4, 8, 9, 10])
+    def test_selection_matches_lexsort_oracle(self, rng, levels, k):
+        # Few distinct levels: ties within the list and at the cut.
+        block = rng.integers(0, levels, size=(50, 10)).astype(np.float64) / levels
+        ids, scores = best_first_top_k(block, k)
+        columns = np.broadcast_to(np.arange(10), block.shape)
+        want = np.lexsort((columns, -block), axis=1)[:, :k]
+        np.testing.assert_array_equal(ids, want)
+        np.testing.assert_array_equal(scores, np.take_along_axis(block, want, axis=1))
+
+    def test_signed_zeros_tie(self):
+        block = np.array([[0.0, -0.0, 1.0, -0.0, 0.0]])
+        ids, _ = best_first_top_k(block, 3)
+        np.testing.assert_array_equal(ids, [[2, 0, 1]])
 
 
 class TestChunkedArgmax:

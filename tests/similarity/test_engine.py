@@ -13,7 +13,7 @@ from repro.core.greedy import Greedy
 from repro.core.registry import PAPER_MATCHERS, create_matcher
 from repro.similarity.engine import SimilarityEngine, fingerprint
 from repro.similarity.metrics import prepare_metric, similarity_matrix
-from repro.utils.parallel import SHARD_BUDGET_FACTOR, Shard
+from repro.utils.parallel import SHARD_BUDGET_FACTOR, Shard, plan_shards
 
 
 @pytest.fixture()
@@ -217,6 +217,34 @@ class TestEngineChunkedEntryPoints:
             ValueError, match="k must be"
         ):
             engine.top_k_candidates(source, target, k=0)
+
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_top_k_chunks_follow_the_shard_grid_budget(
+        self, embeddings, monkeypatch, dtype
+    ):
+        import repro.similarity.engine as engine_module
+
+        chunk_sizes = []
+        real = engine_module.chunked_top_k
+
+        def spy(*args, chunk_size, **kwargs):
+            chunk_sizes.append(chunk_size)
+            return real(*args, chunk_size=chunk_size, **kwargs)
+
+        monkeypatch.setattr(engine_module, "chunked_top_k", spy)
+        source, target = embeddings
+        budget = 4096
+        with SimilarityEngine(memory_budget=budget, dtype=dtype, cache=False) as engine:
+            engine.top_k(source, target, k=5)
+            engine.top_k_candidates(source, target, k=5)
+        band = plan_shards(
+            len(source), len(target), memory_budget=budget,
+            itemsize=np.dtype(dtype).itemsize,
+        )[0]
+        assert chunk_sizes == [band.shape[0]] * 2
+        # A full-width row band, several of them: the budget really cut rows.
+        assert band.shape[1] == len(target) and band.shape[0] < len(source)
 
 
 class TestSharedEngineSweep:
