@@ -33,45 +33,50 @@ Quickstart::
     )
 """
 
-from repro.core import MatchResult, Matcher, available_matchers, create_matcher
-from repro.datasets import list_presets, load_preset
-from repro.embedding import UnifiedEmbeddings
-from repro.errors import (
-    ConvergenceError,
-    DataIntegrityError,
-    DeadlineExceeded,
-    MatcherError,
-    ResourceBudgetExceeded,
-)
-from repro.eval import AlignmentMetrics, evaluate_pairs
-from repro.kg import AlignmentTask, KnowledgeGraph
-from repro.pipeline import AlignmentPipeline, AlignmentPrediction
-from repro.runtime import RunSupervisor, SupervisorPolicy
-from repro.similarity import SimilarityEngine
+import importlib
+
+#: Every public name, keyed to the module it is imported from.  The package
+#: init imports none of them: a name's home module loads the first time
+#: the name is looked up (PEP 562), so ``import repro.serve.http`` pulls
+#: in the matching side only, never the KG layer or ``scipy.sparse``.
+_EXPORTS = {
+    "AlignmentMetrics": "repro.eval",
+    "AlignmentPipeline": "repro.pipeline",
+    "AlignmentPrediction": "repro.pipeline",
+    "AlignmentTask": "repro.kg",
+    "ConvergenceError": "repro.errors",
+    "DataIntegrityError": "repro.errors",
+    "DeadlineExceeded": "repro.errors",
+    "KnowledgeGraph": "repro.kg",
+    "MatchResult": "repro.core",
+    "Matcher": "repro.core",
+    "MatcherError": "repro.errors",
+    "ResourceBudgetExceeded": "repro.errors",
+    "RunSupervisor": "repro.runtime",
+    "SimilarityEngine": "repro.similarity",
+    "SupervisorPolicy": "repro.runtime",
+    "UnifiedEmbeddings": "repro.embedding",
+    "available_matchers": "repro.core",
+    "create_matcher": "repro.core",
+    "evaluate_pairs": "repro.eval",
+    "list_presets": "repro.datasets",
+    "load_preset": "repro.datasets",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AlignmentMetrics",
-    "AlignmentPipeline",
-    "AlignmentPrediction",
-    "AlignmentTask",
-    "ConvergenceError",
-    "DataIntegrityError",
-    "DeadlineExceeded",
-    "KnowledgeGraph",
-    "MatchResult",
-    "Matcher",
-    "MatcherError",
-    "ResourceBudgetExceeded",
-    "RunSupervisor",
-    "SimilarityEngine",
-    "SupervisorPolicy",
-    "UnifiedEmbeddings",
-    "__version__",
-    "available_matchers",
-    "create_matcher",
-    "evaluate_pairs",
-    "list_presets",
-    "load_preset",
-]
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    try:
+        home = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

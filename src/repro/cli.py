@@ -35,64 +35,36 @@ import json
 import sys
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.core.registry import available_matchers, create_matcher
-from repro.datasets.zoo import list_presets, load_preset
-from repro.errors import DataIntegrityError, MatcherError
-from repro.eval.explain import explain_decision, format_report
-from repro.eval.metrics import evaluate_pairs
-from repro.experiments.figures import (
-    figure4_top5_std,
-    figure5_efficiency,
-    figure6_csls_k,
-    figure7_sinkhorn_l,
-)
-from repro.experiments.regimes import build_embeddings
-from repro.experiments.report import generate_report
-from repro.experiments.reporting import format_table
-from repro.experiments.runner import _gold_local_pairs, run_experiment
-from repro.experiments.tables import (
-    table3_dataset_statistics,
-    table4_structure_only,
-    table5_auxiliary_information,
-    table6_large_scale,
-    table7_unmatchable,
-    table8_non_one_to_one,
-)
-from repro.index import INDEX_KINDS, IndexConfig, IVFIndex, build_candidates
-from repro.kg.io import save_alignment_task
-from repro.obs import events as obs_events
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
-from repro.obs.drift import (
-    DEFAULT_LEDGER_PATH,
-    DEFAULT_REFERENCE_PATH,
-    check_drift,
-    load_reference,
-    reference_configs,
-)
-from repro.experiments.resume import ResumePolicy
-from repro.obs.ledger import RunLedger, build_record, fingerprint_payload
-from repro.obs.profile import build_profile, load_profile, summarize, write_profile
-from repro.runtime.supervisor import RunSupervisor, SupervisorPolicy
-from repro.similarity.engine import SimilarityEngine
-from repro.storage import EmbeddingStore
+# The parser's own needs, and nothing more: a subcommand's modules are
+# imported inside the function that runs it, so ``repro serve`` boots
+# without the KG layer, the dataset generators or ``scipy.sparse``.
+from repro.core.registry import available_matchers
+from repro.index import INDEX_KINDS
+from repro.obs.drift import DEFAULT_LEDGER_PATH, DEFAULT_REFERENCE_PATH
 
-_TABLES: dict[str, Callable] = {
-    "3": table3_dataset_statistics,
-    "4": table4_structure_only,
-    "5": table5_auxiliary_information,
-    "6": table6_large_scale,
-    "7": table7_unmatchable,
-    "8": table8_non_one_to_one,
+if TYPE_CHECKING:
+    from repro.index import IndexConfig, IVFIndex
+    from repro.runtime.supervisor import SupervisorPolicy
+    from repro.similarity.engine import SimilarityEngine
+
+#: Table key -> builder in :mod:`repro.experiments.tables`.
+_TABLES = {
+    "3": "table3_dataset_statistics",
+    "4": "table4_structure_only",
+    "5": "table5_auxiliary_information",
+    "6": "table6_large_scale",
+    "7": "table7_unmatchable",
+    "8": "table8_non_one_to_one",
 }
 
-_FIGURES: dict[str, Callable] = {
-    "4": figure4_top5_std,
-    "5": figure5_efficiency,
-    "6": figure6_csls_k,
-    "7": figure7_sinkhorn_l,
+#: Figure key -> builder in :mod:`repro.experiments.figures`.
+_FIGURES = {
+    "4": "figure4_top5_std",
+    "5": "figure5_efficiency",
+    "6": "figure6_csls_k",
+    "7": "figure7_sinkhorn_l",
 }
 
 
@@ -391,21 +363,73 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_table(name: str, scale: float, output: Path | None) -> None:
-    table = _TABLES[name](scale=scale)
-    text = format_table(table.rows, title=table.title)
-    print(text)
-    if output is not None:
-        output.mkdir(parents=True, exist_ok=True)
-        (output / f"table{name}.txt").write_text(text + "\n", encoding="utf-8")
+def _run_tables(args: argparse.Namespace) -> int:
+    from repro.experiments import tables
+    from repro.experiments.reporting import format_table
+
+    for name in list(_TABLES) if args.which == "all" else [args.which]:
+        table = getattr(tables, _TABLES[name])(scale=args.scale)
+        text = format_table(table.rows, title=table.title)
+        print(text)
+        if args.output is not None:
+            args.output.mkdir(parents=True, exist_ok=True)
+            (args.output / f"table{name}.txt").write_text(
+                text + "\n", encoding="utf-8"
+            )
+    return 0
 
 
-def _emit_figure(name: str, scale: float) -> None:
-    figure = _FIGURES[name](scale=scale)
-    print(figure.title)
-    for series, points in figure.series.items():
-        rendered = "  ".join(f"{x}:{y:.3f}" for x, y in points)
-        print(f"  {series}: {rendered}")
+def _run_figures(args: argparse.Namespace) -> int:
+    from repro.experiments import figures
+
+    for name in list(_FIGURES) if args.which == "all" else [args.which]:
+        figure = getattr(figures, _FIGURES[name])(scale=args.scale)
+        print(figure.title)
+        for series, points in figure.series.items():
+            rendered = "  ".join(f"{x}:{y:.3f}" for x, y in points)
+            print(f"  {series}: {rendered}")
+    return 0
+
+
+def _run_datasets(args: argparse.Namespace) -> int:
+    from repro.datasets.zoo import list_presets, load_preset
+    from repro.kg.io import save_alignment_task
+
+    if args.dataset_command == "list":
+        for preset in list_presets():
+            print(preset)
+        return 0
+    task = load_preset(args.preset, scale=args.scale)
+    directory = save_alignment_task(task, args.output)
+    print(f"exported {args.preset} to {directory}")
+    return 0
+
+
+def _run_report(args: argparse.Namespace) -> int:
+    from repro.experiments.report import generate_report
+
+    path = generate_report(args.output, scale=args.scale, seed=args.seed)
+    print(f"report written to {path}")
+    return 0
+
+
+def _run_match_command(args: argparse.Namespace) -> int:
+    from repro.errors import MatcherError
+
+    try:
+        return _run_match(
+            args.preset, args.regime, args.matcher, args.scale,
+            dtype=args.dtype, no_cache=args.no_cache,
+            policy=_match_policy(args), profile_path=args.profile,
+            index_config=_match_index_config(args),
+            ledger_path=args.ledger, events_spec=args.events,
+            shard_rows=args.shard_rows,
+            resume=args.resume, durable=args.durable,
+        )
+    except MatcherError as err:
+        # --on-error raise tripped: one-line summary, non-zero exit.
+        print(f"match failed: {type(err).__name__}: {err}", file=sys.stderr)
+        return 1
 
 
 def _run_match(
@@ -424,6 +448,20 @@ def _run_match(
     resume: bool = False,
     durable: bool = False,
 ) -> int:
+    from repro.core.registry import create_matcher
+    from repro.datasets.zoo import load_preset
+    from repro.eval.metrics import evaluate_pairs
+    from repro.experiments.regimes import build_embeddings
+    from repro.experiments.runner import _gold_local_pairs
+    from repro.index import build_candidates
+    from repro.obs import events as obs_events
+    from repro.obs import metrics as obs_metrics
+    from repro.obs import trace as obs_trace
+    from repro.obs.ledger import RunLedger
+    from repro.obs.profile import build_profile, write_profile
+    from repro.runtime.supervisor import RunSupervisor, SupervisorPolicy
+    from repro.similarity.engine import SimilarityEngine
+
     matcher = create_matcher(matcher_name)
     metric = getattr(matcher, "metric", "cosine")
     if not isinstance(metric, str):
@@ -561,6 +599,8 @@ def _match_record(
     profile_path: Path | None = None,
 ) -> dict:
     """One ledger record for a ``repro match`` invocation."""
+    from repro.obs.ledger import build_record, fingerprint_payload
+
     status = "failed" if not run.ok else ("degraded" if run.degraded else "ok")
     error = None
     if run.error is not None:
@@ -613,6 +653,9 @@ def _match_resume_record(
     decides (skip ``ok``, re-run ``failed``/``degraded``).  The ledger
     is read tolerantly — resuming after a crash is the whole point.
     """
+    from repro.experiments.resume import ResumePolicy
+    from repro.obs.ledger import RunLedger, fingerprint_payload
+
     ledger = RunLedger(ledger_path)
     if not ledger.path.exists():
         return None
@@ -629,8 +672,19 @@ def _match_resume_record(
     return latest
 
 
+def _run_index(args: argparse.Namespace) -> int:
+    if args.index_command == "build":
+        return _run_index_build(args)
+    return _run_index_stats(args.path)
+
+
 def _run_index_build(args: argparse.Namespace) -> int:
     """Train an IVF index on a preset's candidate-target embeddings."""
+    from repro.datasets.zoo import load_preset
+    from repro.experiments.regimes import build_embeddings
+    from repro.index import IVFIndex
+    from repro.obs import events as obs_events
+
     task = load_preset(args.preset, scale=args.scale)
     embeddings = build_embeddings(task, args.regime, preset_name=args.preset)
     targets = embeddings.target[task.candidate_target_ids()]
@@ -653,6 +707,8 @@ def _run_index_build(args: argparse.Namespace) -> int:
 
 
 def _run_index_stats(path: Path) -> int:
+    from repro.index import IVFIndex
+
     try:
         index = IVFIndex.load(path)
     except (OSError, ValueError, KeyError) as err:
@@ -673,6 +729,8 @@ def _run_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
+    from repro.obs import events as obs_events
+    from repro.obs.ledger import RunLedger
     from repro.serve.http import AlignmentServer
     from repro.serve.state import ServingState
     from repro.similarity.engine import SimilarityEngine
@@ -730,6 +788,7 @@ def _run_soak(args: argparse.Namespace) -> int:
 
     from repro.loadgen import ServeDaemon, SoakRunner, WorkloadSpec
     from repro.loadgen.report import server_latency_summary
+    from repro.obs import events as obs_events
     from repro.obs.histogram import DEFAULT_LATENCY_BOUNDS, bucket_width_at
 
     if args.url is None and (args.store is None or args.index is None):
@@ -873,6 +932,8 @@ def _run_obs_scrape(args: argparse.Namespace) -> int:
 
 def _match_index_config(args: argparse.Namespace) -> IndexConfig | None:
     """Candidate-generation config from the ``match`` subcommand's flags."""
+    from repro.index import IndexConfig
+
     if args.index is None:
         return None
     return IndexConfig(
@@ -882,6 +943,8 @@ def _match_index_config(args: argparse.Namespace) -> IndexConfig | None:
 
 def _match_policy(args: argparse.Namespace) -> SupervisorPolicy:
     """Supervisor policy from the ``match`` subcommand's flags."""
+    from repro.runtime.supervisor import SupervisorPolicy
+
     budget = args.memory_budget
     return SupervisorPolicy(
         timeout=args.timeout,
@@ -894,6 +957,11 @@ def _match_policy(args: argparse.Namespace) -> SupervisorPolicy:
 
 def _run_explain(args: argparse.Namespace) -> int:
     """Render one query's decision report (the paper's Appendix D view)."""
+    from repro.datasets.zoo import load_preset
+    from repro.eval.explain import explain_decision, format_report
+    from repro.experiments.regimes import build_embeddings
+    from repro.similarity.engine import SimilarityEngine
+
     task = load_preset(args.preset, scale=args.scale)
     embeddings = build_embeddings(task, args.regime, preset_name=args.preset)
     queries = task.test_query_ids()
@@ -936,6 +1004,8 @@ def _read_ledger(path: Path) -> list[dict] | None:
     list/show/diff/drift`` down with it.  Mid-file corruption still
     fails hard.
     """
+    from repro.obs.ledger import RunLedger
+
     ledger = RunLedger(path)
     if not ledger.path.exists():
         print(f"no ledger at {path}", file=sys.stderr)
@@ -1001,6 +1071,8 @@ def _cell_f1(record: dict) -> float | None:
 
 
 def _runs_diff(args: argparse.Namespace) -> int:
+    from repro.obs.ledger import RunLedger
+
     old_records = _read_ledger(args.old)
     new_records = _read_ledger(args.new)
     if old_records is None or new_records is None:
@@ -1029,6 +1101,10 @@ def _runs_diff(args: argparse.Namespace) -> int:
 
 def _runs_record(args: argparse.Namespace) -> int:
     """Run the canonical seeded sweep, appending one record per cell."""
+    from repro.experiments.runner import run_experiment
+    from repro.obs.drift import reference_configs
+    from repro.obs.ledger import RunLedger
+
     ledger = RunLedger(args.ledger)
     for config in reference_configs():
         result = run_experiment(config, ledger=ledger)
@@ -1043,6 +1119,8 @@ def _runs_record(args: argparse.Namespace) -> int:
 
 def _runs_fsck(args: argparse.Namespace) -> int:
     """Check a ledger for torn/corrupt lines; optionally repair the tail."""
+    from repro.obs.ledger import RunLedger
+
     ledger = RunLedger(args.ledger)
     if not ledger.path.exists():
         print(f"no ledger at {args.ledger}", file=sys.stderr)
@@ -1077,6 +1155,9 @@ def _runs_fsck(args: argparse.Namespace) -> int:
 
 def _store_verify(args: argparse.Namespace) -> int:
     """Recompute an embedding store's checksum against its header."""
+    from repro.errors import DataIntegrityError
+    from repro.storage import EmbeddingStore
+
     try:
         with EmbeddingStore.open(args.path) as store:
             if store.seal_state == "unsealed":
@@ -1109,6 +1190,8 @@ def _store_verify(args: argparse.Namespace) -> int:
 
 
 def _runs_drift(args: argparse.Namespace) -> int:
+    from repro.obs.drift import check_drift, load_reference
+
     try:
         reference = load_reference(args.reference)
     except (OSError, ValueError) as err:
@@ -1122,80 +1205,47 @@ def _runs_drift(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _run_profile(args: argparse.Namespace) -> int:
+    from repro.obs.profile import load_profile, summarize
+
+    try:
+        print(summarize(load_profile(args.path)))
+    except (OSError, ValueError) as err:
+        print(f"cannot summarize {args.path}: {err}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _run_runs(args: argparse.Namespace) -> int:
+    handlers = {
+        "list": _runs_list,
+        "show": _runs_show,
+        "diff": _runs_diff,
+        "record": _runs_record,
+        "drift": _runs_drift,
+        "fsck": _runs_fsck,
+    }
+    return handlers[args.runs_command](args)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "tables":
-        names = list(_TABLES) if args.which == "all" else [args.which]
-        for name in names:
-            _emit_table(name, args.scale, args.output)
-        return 0
-    if args.command == "figures":
-        names = list(_FIGURES) if args.which == "all" else [args.which]
-        for name in names:
-            _emit_figure(name, args.scale)
-        return 0
-    if args.command == "datasets":
-        if args.dataset_command == "list":
-            for preset in list_presets():
-                print(preset)
-            return 0
-        task = load_preset(args.preset, scale=args.scale)
-        directory = save_alignment_task(task, args.output)
-        print(f"exported {args.preset} to {directory}")
-        return 0
-    if args.command == "report":
-        path = generate_report(args.output, scale=args.scale, seed=args.seed)
-        print(f"report written to {path}")
-        return 0
-    if args.command == "match":
-        try:
-            return _run_match(
-                args.preset, args.regime, args.matcher, args.scale,
-                dtype=args.dtype, no_cache=args.no_cache,
-                policy=_match_policy(args), profile_path=args.profile,
-                index_config=_match_index_config(args),
-                ledger_path=args.ledger, events_spec=args.events,
-                shard_rows=args.shard_rows,
-                resume=args.resume, durable=args.durable,
-            )
-        except MatcherError as err:
-            # --on-error raise tripped: one-line summary, non-zero exit.
-            print(
-                f"match failed: {type(err).__name__}: {err}", file=sys.stderr
-            )
-            return 1
-    if args.command == "index":
-        if args.index_command == "build":
-            return _run_index_build(args)
-        return _run_index_stats(args.path)
-    if args.command == "profile":
-        try:
-            print(summarize(load_profile(args.path)))
-        except (OSError, ValueError) as err:
-            print(f"cannot summarize {args.path}: {err}", file=sys.stderr)
-            return 1
-        return 0
-    if args.command == "explain":
-        return _run_explain(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "soak":
-        return _run_soak(args)
-    if args.command == "runs":
-        handlers = {
-            "list": _runs_list,
-            "show": _runs_show,
-            "diff": _runs_diff,
-            "record": _runs_record,
-            "drift": _runs_drift,
-            "fsck": _runs_fsck,
-        }
-        return handlers[args.runs_command](args)
-    if args.command == "store":
-        return _store_verify(args)
-    if args.command == "obs":
-        return _run_obs_scrape(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    handlers = {
+        "tables": _run_tables,
+        "figures": _run_figures,
+        "datasets": _run_datasets,
+        "report": _run_report,
+        "match": _run_match_command,
+        "index": _run_index,
+        "profile": _run_profile,
+        "explain": _run_explain,
+        "serve": _run_serve,
+        "soak": _run_soak,
+        "runs": _run_runs,
+        "store": _store_verify,
+        "obs": _run_obs_scrape,
+    }
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

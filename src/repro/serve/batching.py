@@ -24,6 +24,9 @@ from concurrent.futures import Future
 from typing import Any, Callable, Sequence
 
 import numpy as np
+# np.percentile (stats()) imports numpy.ma on its first call: load it
+# with the daemon, not on its first /stats request.
+import numpy.ma  # noqa: F401
 
 from repro.obs import metrics as obs_metrics
 from repro.serve import context as serve_context

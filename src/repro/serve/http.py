@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -68,6 +69,16 @@ MAX_BODY_BYTES = 16 * 2**20
 #: thread forever.
 READ_TIMEOUT_S = 30.0
 
+#: Bound, seconds, on a query's wait for the micro-batcher's answer.  A
+#: dispatcher stuck past it gets the query a 503 with ``Retry-After``
+#: (counted as ``serve.query.timeouts``), so it cannot pin every handler
+#: thread.  The abandoned query is still scored when the dispatcher
+#: resumes; its answer is dropped.
+QUERY_TIMEOUT_S = 5.0
+
+#: ``Retry-After`` seconds sent with a timed-out query's 503.
+RETRY_AFTER_S = 1
+
 #: Default slow-query threshold, seconds: requests over it emit a
 #: ``serve.slow`` event carrying their captured span tree.
 SLOW_THRESHOLD = 0.1
@@ -91,11 +102,15 @@ def _is_number(value: Any) -> bool:
 
 
 class ServeError(Exception):
-    """An HTTP-mappable request failure."""
+    """An HTTP-mappable request failure; ``retry_after`` (seconds) is
+    sent as a ``Retry-After`` header."""
 
-    def __init__(self, status: int, message: str) -> None:
+    def __init__(
+        self, status: int, message: str, retry_after: int | None = None
+    ) -> None:
         super().__init__(message)
         self.status = status
+        self.retry_after = retry_after
 
 
 class AlignmentServer(ThreadingHTTPServer):
@@ -201,7 +216,15 @@ class AlignmentServer(ThreadingHTTPServer):
         if not _is_integer(k) or k < 1:
             raise ServeError(400, f"k must be a positive integer, got {k!r}")
         vector = self._request_vector(body)
-        result = self.batcher.submit(vector, k)
+        try:
+            result = self.batcher.submit(vector, k, timeout=QUERY_TIMEOUT_S)
+        except FutureTimeoutError:
+            obs_metrics.get_metrics().inc("serve.query.timeouts")
+            raise ServeError(
+                503,
+                f"query not answered within {QUERY_TIMEOUT_S} s",
+                retry_after=RETRY_AFTER_S,
+            ) from None
         payload = {
             "matches": [
                 {"entity_id": int(eid), "score": float(score)}
@@ -394,10 +417,18 @@ class _Handler(BaseHTTPRequestHandler):
             request_id=context.request_id if context is not None else None,
         )
 
-    def _send(self, status: int, body: bytes, content_type: str) -> None:
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: dict[str, str] | None = None,
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         context = serve_context.current_request()
         if context is not None:
             self.send_header(serve_context.REQUEST_ID_HEADER, context.request_id)
@@ -406,8 +437,10 @@ class _Handler(BaseHTTPRequestHandler):
         self._status = status
         obs_metrics.get_metrics().inc("serve.http.responses")
 
-    def _reply(self, status: int, payload: Any) -> None:
-        self._send(status, canonical_json(payload), "application/json")
+    def _reply(
+        self, status: int, payload: Any, headers: dict[str, str] | None = None
+    ) -> None:
+        self._send(status, canonical_json(payload), "application/json", headers)
 
     def _reply_text(self, status: int, text: str, content_type: str) -> None:
         self._send(status, text.encode("utf-8"), content_type)
@@ -455,7 +488,10 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 payload = worker()
             except ServeError as error:
-                self._reply(error.status, {"error": str(error)})
+                headers = None
+                if error.retry_after is not None:
+                    headers = {"Retry-After": str(error.retry_after)}
+                self._reply(error.status, {"error": str(error)}, headers)
             except ValueError as error:
                 # Includes DataIntegrityError (a ValueError subclass).
                 self._reply(400, {"error": str(error)})

@@ -548,3 +548,27 @@ class TestDurabilityCommands:
         assert main([*self.MATCH, "--ledger", str(path), "--resume"]) == 0
         out = capsys.readouterr().out
         assert "skipped" not in out and "F1=" in out
+
+
+class TestHandlersRunPastTheirImports:
+    """Each subcommand imports its modules when it runs; these cheap error
+    exits run the handlers no other unmarked test reaches, so a broken
+    import inside one fails here."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["profile", "summarize", "{tmp}/no.json"], 1, "cannot summarize"),
+        (["runs", "drift", "--reference", "{tmp}/no.json"], 1, "cannot load reference"),
+        (["serve", "--store", "{tmp}/no.store", "--index", "{tmp}/no.json"], 1,
+         "cannot load serving state"),
+        (["soak", "--duration", "1"], 2, "soak needs either --url"),
+        (["obs", "scrape", "--url", "not-a-url"], 1, "cannot scrape"),
+    ], ids=["profile", "runs-drift", "serve", "soak", "obs-scrape"])
+    def test_error_exit(self, tmp_path, capsys, argv, code, message):
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+        assert message in capsys.readouterr().err
+
+    def test_runs_record_with_no_reference_cells(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("repro.obs.drift.reference_configs", lambda: [])
+        ledger = tmp_path / "runs.jsonl"
+        assert main(["runs", "record", "--ledger", str(ledger)]) == 0
+        assert f"ledger at {ledger}" in capsys.readouterr().out
