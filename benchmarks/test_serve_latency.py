@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.index import IVFIndex
+from repro.obs import metrics as obs_metrics
 from repro.serve.batching import MicroBatcher
 from repro.serve.state import ServingState
 from repro.storage import EmbeddingStore
@@ -115,7 +116,9 @@ def test_batched_throughput(served_state):
     start_barrier = threading.Barrier(SUBMIT_THREADS + 1)
     failures: list = []
 
-    with MicroBatcher(handle, max_batch=32, max_wait=0.002) as batcher:
+    # A fresh registry: the batcher's stats are the histograms it records
+    # into, and this run's batches must be the only ones in them.
+    with obs_metrics.scoped(), MicroBatcher(handle, max_batch=32) as batcher:
 
         def worker(worker_index: int) -> None:
             try:

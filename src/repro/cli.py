@@ -286,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="delta depth that triggers append compaction")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="micro-batcher coalescing cap")
-    serve.add_argument("--batch-wait-ms", type=float, default=2.0,
-                       help="micro-batcher straggler wait in milliseconds")
     serve.add_argument("--events", default=None, metavar="PATH",
                        help="stream per-request events: '-' for human-readable "
                             "stderr, anything else appends JSONL to that path")
@@ -756,7 +754,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             engine=SimilarityEngine(),
             ledger=ledger,
             max_batch=args.max_batch,
-            max_wait=args.batch_wait_ms / 1000.0,
             slow_threshold=args.slow_ms / 1000.0,
             slo_objective=args.slo_objective,
             slo_latency_threshold=(

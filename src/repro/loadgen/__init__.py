@@ -3,7 +3,7 @@
 ``repro serve`` (DESIGN.md §12) answers single queries; this package
 answers the question the ROADMAP's north star actually poses — does the
 daemon hold up under *sustained, realistic traffic*?  One-shot latency
-numbers hide compaction stalls, batching stragglers, and insert-induced
+numbers hide compaction stalls, batch queueing, and insert-induced
 tail spikes; a minutes-long mixed stream surfaces them.  Three layers:
 
 - :mod:`repro.loadgen.spec` — :class:`~repro.loadgen.spec.WorkloadSpec`:

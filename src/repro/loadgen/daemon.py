@@ -1,7 +1,7 @@
 """Boot and manage one real ``repro serve`` subprocess for a soak run.
 
 Soak results are only trustworthy when the whole stack is in the loop —
-HTTP parsing, the micro-batcher's straggler window, snapshot
+HTTP parsing, the micro-batcher's queue, snapshot
 publication, durable appends — so the runner drives a genuine daemon
 process, never an in-process :class:`~repro.serve.state.ServingState`
 shortcut.  :class:`ServeDaemon` wraps the subprocess lifecycle: spawn

@@ -72,8 +72,8 @@ READ_TIMEOUT_S = 30.0
 #: Bound, seconds, on a query's wait for the micro-batcher's answer.  A
 #: dispatcher stuck past it gets the query a 503 with ``Retry-After``
 #: (counted as ``serve.query.timeouts``), so it cannot pin every handler
-#: thread.  The abandoned query is still scored when the dispatcher
-#: resumes; its answer is dropped.
+#: thread.  The abandoned query is cancelled: a batch dispatched after
+#: the timeout drops it unscored.
 QUERY_TIMEOUT_S = 5.0
 
 #: ``Retry-After`` seconds sent with a timed-out query's 503.
@@ -125,7 +125,6 @@ class AlignmentServer(ThreadingHTTPServer):
         engine: SimilarityEngine | None = None,
         ledger: RunLedger | None = None,
         max_batch: int = 32,
-        max_wait: float = 0.002,
         slow_threshold: float = SLOW_THRESHOLD,
         slo_objective: float = 0.999,
         slo_latency_threshold: float | None = None,
@@ -149,9 +148,7 @@ class AlignmentServer(ThreadingHTTPServer):
         if access_log is not None:
             self._access_sink = serve_context.AccessLogSink(access_log)
             obs_events.add_sink(self._access_sink)
-        self.batcher = MicroBatcher(
-            self._handle_batch, max_batch=max_batch, max_wait=max_wait
-        )
+        self.batcher = MicroBatcher(self._handle_batch, max_batch=max_batch)
 
     def _handle_batch(self, vectors: np.ndarray, ks: list[int]) -> list:
         # Pair-stable scoring makes one batched call bitwise-equal to n

@@ -4,6 +4,8 @@
 session (seeded PCG64 → identical bytes on every run and machine — the
 golden files depend on this); ``daemon`` boots the real ``repro serve``
 CLI in a subprocess on an ephemeral port and tears it down with SIGTERM.
+:class:`FirstBatchGate` makes a micro-batcher coalesce queries
+deterministically, with no timing window.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import numpy as np
 import pytest
 
 from repro.index import IVFIndex
+from repro.obs import metrics as obs_metrics
+from repro.serve.batching import MicroBatcher
 from repro.serve.http import AlignmentServer
 from repro.serve.state import ServingState
 from repro.storage import EmbeddingStore
@@ -32,6 +36,49 @@ REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 #: Fixture geometry — small enough for millisecond queries, big enough
 #: that every inverted list is populated.
 N_ROWS, DIM, N_CLUSTERS, CAPACITY = 48, 6, 4, 96
+
+
+@pytest.fixture(autouse=True)
+def fresh_metrics():
+    """A metrics registry per test: a batcher records its batches in the
+    registry active when it is built, and ``stats()`` reads them back."""
+    with obs_metrics.scoped() as registry:
+        yield registry
+
+
+class FirstBatchGate:
+    """A batch handler whose first call holds until ``in_flight`` items
+    are in that batch or queued behind it.
+
+    Drain-then-dispatch hands everything queued to the next batch, so
+    the queries held behind the gate coalesce with no timing window.
+    ``entered`` is set once the first call has started, which lets a
+    test queue its other queries strictly behind the first batch.
+    """
+
+    def __init__(self, handler, in_flight: int, timeout: float = 10.0) -> None:
+        self._handler = handler
+        self.in_flight = in_flight
+        self.timeout = timeout
+        self.entered = threading.Event()
+        self.batcher: MicroBatcher | None = None
+
+    def batcher_for(self, **kwargs) -> MicroBatcher:
+        """A :class:`MicroBatcher` whose handler is this gate."""
+        self.batcher = MicroBatcher(self, **kwargs)
+        return self.batcher
+
+    def __call__(self, vectors, ks):
+        if not self.entered.is_set():
+            self.entered.set()
+            deadline = time.monotonic() + self.timeout
+            while len(ks) + self.batcher._queue.qsize() < self.in_flight:
+                if time.monotonic() > deadline:
+                    raise TimeoutError(
+                        f"{self.in_flight} items never queued behind the gate"
+                    )
+                time.sleep(0.001)
+        return self._handler(vectors, ks)
 
 
 @dataclass
@@ -148,7 +195,7 @@ def live_server(tmp_path):
     store.close()
     IVFIndex(n_clusters=2).train(base).add(base).save(tmp_path / "ivf.json")
     state = ServingState.load(store_path, tmp_path / "ivf.json")
-    server = AlignmentServer(("127.0.0.1", 0), state, max_wait=0.0)
+    server = AlignmentServer(("127.0.0.1", 0), state)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:

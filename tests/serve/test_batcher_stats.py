@@ -1,7 +1,8 @@
-"""MicroBatcher observability: the /stats key contract and distributions.
+"""MicroBatcher behaviour and observability: drain-then-dispatch, the
+/stats key contract and distributions.
 
-Soak reports correlate response-tail spikes with straggler-window
-flushes through these numbers, so the key set is a stability contract:
+Soak reports correlate response-tail spikes with queueing in the
+batcher through these numbers, so the key set is a stability contract:
 renaming or dropping a key silently breaks dashboards and the soak
 analysis — this suite pins it, for the batcher's own ``stats()`` and
 for the daemon's full ``/stats`` document.
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 
 from repro.serve.batching import MicroBatcher
+
+from .conftest import FirstBatchGate
 
 pytestmark = pytest.mark.serve
 
@@ -55,7 +58,7 @@ class TestKeyStability:
         assert all(value == 0.0 for value in stats["wait_ms"].values())
 
     def test_keys_are_identical_before_and_after_traffic(self):
-        with MicroBatcher(echo_handler, max_batch=4, max_wait=0.01) as batcher:
+        with MicroBatcher(echo_handler, max_batch=4) as batcher:
             idle = batcher.stats()
             for _ in range(5):
                 batcher.submit([0.0], 3)
@@ -110,7 +113,7 @@ class TestDaemonStatsContract:
 
 class TestDistributions:
     def test_singleton_batches_collapse_the_size_distribution(self):
-        with MicroBatcher(echo_handler, max_batch=1, max_wait=0.0) as batcher:
+        with MicroBatcher(echo_handler, max_batch=1) as batcher:
             for _ in range(8):
                 batcher.submit([0.0], 1)
             stats = batcher.stats()
@@ -119,8 +122,9 @@ class TestDistributions:
 
     def test_coalesced_batches_register_sizes_above_one(self):
         release = threading.Barrier(6)
+        gate = FirstBatchGate(echo_handler, in_flight=6)
 
-        with MicroBatcher(echo_handler, max_batch=6, max_wait=0.2) as batcher:
+        with gate.batcher_for(max_batch=6) as batcher:
 
             def worker() -> None:
                 release.wait()
@@ -137,29 +141,25 @@ class TestDistributions:
         assert stats["batch_size"]["max"] > 1.0
         assert stats["batch_size"]["max"] == float(stats["largest_batch"])
 
-    def test_wait_reflects_the_straggler_window(self):
-        """With a forced straggler wait, observed wait_ms is non-trivial
-        but bounded by the configured window (plus scheduling slack)."""
-        release = threading.Barrier(2)
+    def test_wait_reflects_queueing_behind_the_gated_batch(self):
+        """A query queued behind a busy batch waits for it: observed
+        wait_ms is non-trivial but bounded (plus scheduling slack)."""
+        gate = FirstBatchGate(echo_handler, in_flight=2)
 
-        with MicroBatcher(echo_handler, max_batch=8, max_wait=0.05) as batcher:
-
-            def worker() -> None:
-                release.wait()
-                batcher.submit([0.0], 1)
-
-            threads = [threading.Thread(target=worker) for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        with gate.batcher_for(max_batch=8) as batcher:
+            first = threading.Thread(target=batcher.submit, args=([0.0], 1))
+            first.start()
+            assert gate.entered.wait(5.0)
+            batcher.submit([0.0], 1)
+            first.join()
             stats = batcher.stats()
 
+        assert stats["batches"] == 2
         assert stats["wait_ms"]["max"] > 0.0
         assert stats["wait_ms"]["max"] < 1000.0  # not unbounded
 
     def test_percentiles_are_ordered(self):
-        with MicroBatcher(echo_handler, max_batch=3, max_wait=0.005) as batcher:
+        with MicroBatcher(echo_handler, max_batch=3) as batcher:
             for _ in range(20):
                 batcher.submit([0.0], 1)
             stats = batcher.stats()
@@ -177,7 +177,12 @@ class TestFailingBatch:
     def test_malformed_query_fails_only_its_own_batch(self):
         """A batch that cannot be stacked (31- and 32-dim queries) fails
         its own futures; the dispatcher survives and serves later work."""
-        with MicroBatcher(width_handler, max_batch=2, max_wait=5.0) as batcher:
+        # The pair queues behind a gated first query, so it shares a batch.
+        gate = FirstBatchGate(width_handler, in_flight=3)
+        with gate.batcher_for(max_batch=2) as batcher:
+            blocker = threading.Thread(target=batcher.submit, args=(np.zeros(32), 1))
+            blocker.start()
+            assert gate.entered.wait(5.0)
 
             def submit_pair(first, second):
                 with ThreadPoolExecutor(2) as pool:
@@ -188,6 +193,73 @@ class TestFailingBatch:
                     return [future.exception() or future.result() for future in futures]
 
             outcomes = submit_pair(32, 31)
+            blocker.join()
             assert all(isinstance(outcome, ValueError) for outcome in outcomes)
             assert batcher._thread.is_alive()
             assert submit_pair(32, 32) == [32, 32]
+
+
+def tag_handler(vectors, ks):
+    return [int(row[0]) for row in vectors]
+
+
+class TestDrainThenDispatch:
+    def test_queued_queries_dispatch_fifo_in_batches_of_at_most_max_batch(self):
+        batches: list[list[int]] = []
+
+        def record(vectors, ks):
+            batches.append(tag_handler(vectors, ks))
+            return batches[-1]
+
+        gate = FirstBatchGate(record, in_flight=12)
+        with gate.batcher_for(max_batch=5) as batcher:
+            results: dict[int, int] = {}
+
+            def worker(tag: int) -> None:
+                results[tag] = batcher.submit([float(tag)], 1)
+
+            threads = [threading.Thread(target=worker, args=(tag,)) for tag in range(12)]
+            threads[0].start()
+            assert gate.entered.wait(5.0)
+            # Queue the rest one at a time, so queue order is tag order.
+            for tag in range(1, 12):
+                threads[tag].start()
+                while batcher._queue.qsize() < tag:
+                    threads[tag].join(0.001)
+            for thread in threads:
+                thread.join()
+
+        assert batches == [[0], [1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [11]]
+        assert results == {tag: tag for tag in range(12)}
+
+    def test_close_drains_queued_work_first(self):
+        # Four queries plus close()'s stop marker: the gate holds the
+        # first batch until close() has queued the marker behind the rest.
+        gate = FirstBatchGate(tag_handler, in_flight=5)
+        batcher = gate.batcher_for(max_batch=2)
+        results: dict[int, int] = {}
+
+        def worker(tag: int) -> None:
+            results[tag] = batcher.submit([float(tag)], 1)
+
+        threads = [threading.Thread(target=worker, args=(tag,)) for tag in range(4)]
+        threads[0].start()
+        assert gate.entered.wait(5.0)
+        for thread in threads[1:]:
+            thread.start()
+        while batcher._queue.qsize() < 3:
+            threads[0].join(0.001)
+        batcher.close()
+        for thread in threads:
+            thread.join(5.0)
+
+        assert results == {tag: tag for tag in range(4)}
+        assert not batcher._thread.is_alive()
+        assert batcher.stats()["queries"] == 4
+
+    def test_submit_after_close_raises(self):
+        batcher = MicroBatcher(echo_handler)
+        batcher.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            batcher.submit([0.0], 1)
+        batcher.close()  # idempotent

@@ -22,6 +22,8 @@ from repro.serve.batching import MicroBatcher
 from repro.serve.state import ServingState
 from repro.storage import EmbeddingStore
 
+from .conftest import FirstBatchGate
+
 pytestmark = pytest.mark.serve
 
 N_BASE, DIM = 32, 5
@@ -86,7 +88,7 @@ def test_interleaved_queries_and_inserts_see_no_torn_state(state):
     start = threading.Barrier(QUERY_THREADS + INSERT_THREADS)
     failures: list = []
 
-    with MicroBatcher(handle, max_batch=8, max_wait=0.001) as batcher:
+    with MicroBatcher(handle, max_batch=8) as batcher:
 
         def query_worker(worker: int) -> None:
             try:
@@ -159,9 +161,11 @@ def test_batched_results_equal_unbatched(state):
     lock = threading.Lock()
     start = threading.Barrier(8)
 
-    # A long straggler wait + a barrier force real coalescing: the
-    # batcher must see multi-row batches, not 24 singletons.
-    with MicroBatcher(handle, max_batch=8, max_wait=0.05) as batcher:
+    # The gate holds the first batch until every worker's first query
+    # is in flight, so the batcher must see multi-row batches, not 24
+    # singletons.
+    gate = FirstBatchGate(handle, in_flight=8)
+    with gate.batcher_for(max_batch=8) as batcher:
 
         def worker(worker_index: int) -> None:
             start.wait()
@@ -205,7 +209,8 @@ def test_mixed_k_batches_slice_exactly(state):
     results: dict[int, object] = {}
     lock = threading.Lock()
     start = threading.Barrier(10)
-    with MicroBatcher(handle, max_batch=10, max_wait=0.05) as batcher:
+    gate = FirstBatchGate(handle, in_flight=10)
+    with gate.batcher_for(max_batch=10) as batcher:
 
         def worker(row: int) -> None:
             start.wait()
@@ -218,7 +223,9 @@ def test_mixed_k_batches_slice_exactly(state):
             thread.start()
         for thread in threads:
             thread.join()
+        stats = batcher.stats()
 
+    assert stats["largest_batch"] >= 5  # the gate split 10 queries in two
     for row, k in enumerate(ks):
         single = state.query(vectors[row], k)[0]
         result = results[row]

@@ -114,24 +114,21 @@ class TestGoldenResponses:
 
 
 class TestRequestValidation:
-    def test_wrong_dim_query_is_rejected_and_the_daemon_keeps_serving(
-        self, served_artifacts, tmp_path
-    ):
-        # A two-query batch window: a wrong-dim query sent beside a valid
-        # one would share its batch if it were ever enqueued.
-        args = ("--max-batch", "2", "--batch-wait-ms", "500")
-        with Daemon(served_artifacts, tmp_path, extra_args=args) as daemon:
-            with ThreadPoolExecutor(2) as pool:
-                statuses = list(pool.map(
-                    lambda vector: post(daemon, "/query", {"vector": vector, "k": 5})[0],
-                    (QUERY_VECTOR[:-1], QUERY_VECTOR),
-                ))
-            assert statuses == [400, 200]
-            for vector in (QUERY_VECTOR + [1.0], [QUERY_VECTOR]):
-                assert post(daemon, "/query", {"vector": vector, "k": 2})[0] == 400
-            status, body = post(daemon, "/query", {"vector": QUERY_VECTOR, "k": 5})
-            assert status == 200
-            check_golden("query_vector_k5.json", body)
+    def test_wrong_dim_query_is_rejected_and_the_daemon_keeps_serving(self, daemon):
+        with ThreadPoolExecutor(2) as pool:
+            statuses = list(pool.map(
+                lambda vector: post(daemon, "/query", {"vector": vector, "k": 5})[0],
+                (QUERY_VECTOR[:-1], QUERY_VECTOR),
+            ))
+        assert statuses == [400, 200]
+        for vector in (QUERY_VECTOR + [1.0], [QUERY_VECTOR]):
+            assert post(daemon, "/query", {"vector": vector, "k": 2})[0] == 400
+        status, body = post(daemon, "/query", {"vector": QUERY_VECTOR, "k": 5})
+        assert status == 200
+        check_golden("query_vector_k5.json", body)
+        # Only the two valid queries ever entered the batcher's queue.
+        stats = json.loads(daemon.request("GET", "/stats")[1])
+        assert stats["batcher"]["queries"] == 2
 
     def test_non_finite_and_non_numeric_vectors_are_rejected(self, daemon):
         for raw in (

@@ -1,11 +1,14 @@
 """A query whose batch never comes back is answered 503 within
 ``QUERY_TIMEOUT_S``, with ``Retry-After``, counted on ``/metrics`` and
-charged to the SLO; it does not pin the handler thread."""
+charged to the SLO; it does not pin the handler thread, and a query
+abandoned before its batch is dispatched is never scored."""
 
 from __future__ import annotations
 
 import json
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 import urllib.error
 import urllib.request
 from types import SimpleNamespace
@@ -23,8 +26,10 @@ TIMEOUT_S = 0.3
 STALL_S = 2.0
 
 
-def _post_query(port: int) -> tuple[int, dict, float]:
-    body = json.dumps({"vector": [0.1, 0.2, 0.3, 0.4], "k": 2}).encode()
+def _post_query(
+    port: int, vector: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4)
+) -> tuple[int, dict, float]:
+    body = json.dumps({"vector": list(vector), "k": 2}).encode()
     request = urllib.request.Request(
         f"http://127.0.0.1:{port}/query", data=body, method="POST",
         headers={"Content-Type": "application/json"},
@@ -78,6 +83,41 @@ def test_wedged_dispatcher_answers_503_within_the_bound(live_server, monkeypatch
     while _slo_bad(live_server) < 1:
         assert time.monotonic() < deadline, live_server.slo.snapshot()
         time.sleep(0.01)
+
+
+def test_abandoned_query_is_never_scored(live_server, monkeypatch):
+    monkeypatch.setattr(serve_http, "QUERY_TIMEOUT_S", TIMEOUT_S)
+    busy, abandoned, later = (
+        (0.1, 0.2, 0.3, 0.4), (0.9, 0.8, 0.7, 0.6), (0.5, 0.5, 0.5, 0.4)
+    )
+    scored: list[tuple[float, ...]] = []
+    entered, release = threading.Event(), threading.Event()
+    query = live_server.state.query
+
+    def held_query(vectors, k):
+        # Hold the dispatcher in the first batch until the test lets go.
+        scored.extend(tuple(row) for row in vectors)
+        if not entered.is_set():
+            entered.set()
+            release.wait(10.0)
+        return query(vectors, k)
+
+    monkeypatch.setattr(live_server.state, "query", held_query)
+    port = live_server.server_address[1]
+
+    with ThreadPoolExecutor(1) as pool:
+        first = pool.submit(_post_query, port, busy)
+        assert entered.wait(5.0)
+        # Queued behind the held batch, this one times out unscored.
+        assert _post_query(port, abandoned)[0] == 503
+        release.set()
+        first.result()
+    # FIFO: once a later query is answered, the abandoned one's batch
+    # has been dispatched.
+    assert _post_query(port, later)[0] == 200
+
+    assert busy in scored and later in scored
+    assert abandoned not in scored
 
 
 def test_default_query_timeout_is_bounded_and_below_the_read_timeout():

@@ -21,6 +21,8 @@ from repro.obs import events as obs_events
 from repro.serve import context as serve_context
 from repro.serve.batching import MicroBatcher
 
+from .conftest import FirstBatchGate
+
 pytestmark = pytest.mark.serve
 
 
@@ -75,7 +77,8 @@ class TestBatchPropagation:
             for i in range(3)
         ]
 
-        with MicroBatcher(handler, max_batch=3, max_wait=0.2) as batcher:
+        gate = FirstBatchGate(handler, in_flight=3)
+        with gate.batcher_for(max_batch=3) as batcher:
 
             def worker(context) -> None:
                 release.wait()
