@@ -101,8 +101,12 @@ def blocked_candidates(
         index.train(target)
         index.add(target)
 
-        # A batch's working set is ~rows x (centroid table + probed
-        # lists); size batches so that stays within the budget.
+        # Size batches by ~rows x (centroid table + twice the probed
+        # lists) elements.  The search holds less than that: its
+        # distances, score blocks and selection pieces are bounded by
+        # their own chunk sizes, and it keeps a few times k survivors
+        # per row.  The rule sets the batch count (two on the 20k
+        # offline-scan shape), so changing it moves that benchmark.
         budget_elems = (
             max(1, memory_budget // 8) if memory_budget is not None else DEFAULT_CHUNK_ELEMS
         )

@@ -33,6 +33,7 @@ from __future__ import annotations
 import base64
 import json
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.similarity.metrics import (
+    BlockKernel,
     normalize_each_row,
     normalize_rows,
     pair_dots,
@@ -50,8 +52,8 @@ from repro.similarity.metrics import (
 )
 from repro.storage.durable import atomic_write, payload_checksum, verify_checksum
 from repro.utils.kmeans import (
-    centroid_distances,
     cluster_members,
+    distance_chunks,
     kmeans_centroids,
     nearest_centroid,
 )
@@ -109,6 +111,62 @@ def _decode(path: Path, document: dict, key: str, dtype: np.dtype, ndim: int) ->
             f"{path}: IVF index field {key!r} is malformed ({error})"
         ) from error
     return array
+
+
+def _nearest_lists(distances: np.ndarray, nprobe: int, out: np.ndarray) -> None:
+    """Mark in ``out`` each row's ``nprobe`` smallest ``distances``,
+    ordered by ``(distance, column)``: of the columns tied at the cut,
+    the lowest are taken."""
+    kth = np.partition(distances, nprobe - 1, axis=1)[:, nprobe - 1, None]
+    np.less_equal(distances, kth, out=out)
+    tied = np.flatnonzero(np.count_nonzero(out, axis=1) > nprobe)
+    if len(tied):
+        below = distances[tied] < kth[tied]
+        at = distances[tied] == kth[tied]
+        room = nprobe - np.count_nonzero(below, axis=1)
+        out[tied] = below | (at & (np.cumsum(at, axis=1) <= room[:, None]))
+
+
+def _concatenate(
+    held: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Survivor pieces ``(rows, ids, scores)`` as one triple of arrays."""
+    if not held:
+        return (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0))
+    return tuple(np.concatenate(part) for part in zip(*held))
+
+
+def _select(top: TopK, rows: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> None:
+    """Merge survivors into ``top``: ``scores[p]`` is the score of
+    ``ids[p]`` for row ``rows[p]``.
+
+    Rows are grouped by survivor count, rounded up to a power of two and
+    padded with unfilled (``-inf``, largest id) slots, so a row with a
+    thousand survivors widens only its own group; each group merges in
+    pieces of at most ``SCAN_CHUNK_ELEMS`` elements.  The merge is
+    exact under ``(-score, id asc)``, so the result does not depend on
+    the grouping, nor on how many selections the survivors were split
+    over.
+    """
+    # Any order within a row will do: the merge is exact.
+    order = np.argsort(rows)
+    counts = np.bincount(rows, minlength=len(top.found))
+    starts = np.cumsum(counts) - counts
+    widths = np.left_shift(1, np.frexp(np.maximum(counts, 1) - 1)[1])
+    widths[counts == 0] = 0
+    for width in np.unique(widths[widths > 0]):
+        group = np.flatnonzero(widths == width)
+        pieces = row_chunks(len(group), rows_per_chunk(3 * (width + top.k), SCAN_CHUNK_ELEMS))
+        for piece in pieces:
+            part = group[piece]
+            filled = np.arange(width) < counts[part, None]
+            slots = order[np.where(filled, starts[part, None] + np.arange(width), 0)]
+            top.merge(
+                part,
+                np.where(filled, scores[slots], -np.inf),
+                np.where(filled, ids[slots], np.iinfo(np.int64).max),
+                found=0,
+            )
 
 
 class _Spare:
@@ -402,11 +460,14 @@ class IVFIndex:
     ) -> CandidateSet:
         """Top-``k`` exact-rescored candidates per query row.
 
-        ``nprobe`` nearest inverted lists are scanned per query; every
-        scanned candidate is scored with the index's true similarity
-        metric, and the best ``k`` survive.  Rows whose probed lists
-        hold fewer than ``k`` vectors return what was found (a
-        *shortfall*, counted on ``index.search.shortfall``).
+        Each query scans its ``nprobe`` nearest inverted lists: the lists
+        with the smallest centroid distances, ties broken by the lower
+        cluster id, so the probe set is the same on every numpy build.
+        Every scanned candidate is scored with the index's true
+        similarity metric, and the best ``k`` survive under the order
+        ``(-score, id asc)``.  Rows whose probed lists hold fewer than
+        ``k`` vectors return what was found (a *shortfall*, counted on
+        ``index.search.shortfall``).
 
         Tombstoned positions are never scanned.  ``exclude`` is an
         optional length-``ntotal`` boolean mask of further positions to
@@ -419,14 +480,16 @@ class IVFIndex:
         equality contracts require.  For cosine it is computed by the
         certified scan (:meth:`_certified_scan`): BLAS scores every
         probed pair, and only the pairs rounding could still place in
-        the top ``k`` are rescored pair-stably — 0.33-0.37 ms against
-        2.1 ms per batch-1 call, 1.3 ms against 12.6-13.4 ms per batch
-        of 16, on 10k x 32 at full ``nprobe`` with one BLAS thread.  The
-        default BLAS kernel's floats may vary with the block shape, but
-        offline candidate generation keeps it, as the fastest: on
-        20k x 20k, dim 32, nprobe 8 of 141 lists it took 40-46 ms per
-        2k-row batch against 53-57 ms certified and 204-213 ms for the
-        whole pair-stable kernel.
+        the top ``k`` are rescored pair-stably.  Otherwise the threshold
+        scan (:meth:`_threshold_scan`) keeps only the pairs at or above
+        a per-row floor and selects once at the end.  The default BLAS
+        kernel's floats may vary with the block shape, but offline
+        candidate generation keeps it, as the fastest.
+
+        The work is traced as three stages under ``index.search``:
+        ``index.probe`` (centroid distances and probe sets),
+        ``index.scan`` (list scoring) and ``index.select`` (top-``k``
+        selection and CSR assembly).
         """
         if self._vectors is None:
             raise RuntimeError("IVFIndex.search called before add()")
@@ -450,31 +513,27 @@ class IVFIndex:
                     f"got {exclude.shape}"
                 )
         scannable = self._alive if exclude is None else self._alive & ~exclude
-        prepare = prepare_stable_metric if stable else prepare_metric
+        certified = stable and self._unit is not None
         registry = obs_metrics.get_metrics()
         with obs_trace.span(
             "index.search", queries=n_queries, k=k, nprobe=nprobe
         ) as span:
-            probed = np.full((n_queries, self.n_clusters), nprobe == self.n_clusters)
-            if nprobe < self.n_clusters:
-                distances = centroid_distances(queries, self._centroids, self._center)
-                probe = np.argpartition(distances, nprobe - 1, axis=1)[:, :nprobe]
-                probed[np.arange(n_queries)[:, None], probe] = True
-
             top = TopK(n_queries, min(k, self.ntotal))
-            if stable and self._unit is not None:
-                scanned, rescored = self._certified_scan(top, queries, probed, scannable)
-            else:
-                scanned = 0
-                for rows, members in self._probe_groups(probed, scannable):
-                    vectors = self._vectors[members]
-                    kernel = prepare(self.metric, queries[rows], vectors, SCAN_CHUNK_ELEMS)
-                    # A row holds its scores and the merge pool's scores and ids.
-                    chunk_rows = rows_per_chunk(3 * (len(members) + top.k), SCAN_CHUNK_ELEMS)
-                    for chunk in row_chunks(len(rows), chunk_rows):
-                        top.merge(rows[chunk], kernel(chunk), members)
-                    scanned += len(rows) * len(members)
-                rescored = scanned if stable else 0
+            with obs_trace.span("index.probe"):
+                probed, nearest = self._probe(queries, nprobe, want_nearest=not certified)
+            with obs_trace.span("index.scan"):
+                if certified:
+                    scanned, rescored = self._certified_scan(top, queries, probed, scannable)
+                    survivors = None
+                else:
+                    scanned, survivors = self._threshold_scan(
+                        top, queries, probed, nearest, scannable, stable
+                    )
+                    rescored = scanned if stable else 0
+            with obs_trace.span("index.select"):
+                if survivors is not None:
+                    _select(top, *survivors)
+                candidates = top.candidates(self.ntotal)
             shortfall = int((top.found < k).sum())
             span.count("scanned", scanned)
             span.count("rescored", rescored)
@@ -483,7 +542,139 @@ class IVFIndex:
         registry.inc("index.search.scanned", scanned)
         registry.inc("index.search.rescored", rescored)
         registry.inc("index.search.shortfall", shortfall)
-        return top.candidates(self.ntotal)
+        return candidates
+
+    def _probe(
+        self, queries: np.ndarray, nprobe: int, want_nearest: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``(probed, nearest)``: the ``(n_queries, n_clusters)`` mask of
+        the lists each query scans, and each query's nearest list (the
+        first of its probe order), or ``None`` when not wanted.  At full
+        ``nprobe`` the mask needs no distances."""
+        full = nprobe == self.n_clusters
+        probed = np.full((len(queries), self.n_clusters), full)
+        if full and not want_nearest:
+            return probed, None
+        nearest = np.empty(len(queries), dtype=np.intp)
+        for rows, distances in distance_chunks(queries - self._center, self._centroids):
+            nearest[rows] = distances.argmin(axis=1)
+            if not full:
+                _nearest_lists(distances, nprobe, out=probed[rows])
+        return probed, nearest
+
+    def _threshold_scan(
+        self,
+        top: TopK,
+        queries: np.ndarray,
+        probed: np.ndarray,
+        nearest: np.ndarray,
+        scannable: np.ndarray,
+        stable: bool,
+    ) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The scan for every kernel but the certified one: score each
+        probe block, keep only the pairs at or above the row's floor.
+
+        The floor (:meth:`_floors`) is at most the row's final k-th
+        score, so the survivors hold the top ``k``; on offline shapes
+        they are about 4% of the scanned pairs.  A row without one takes
+        the k-th score of the first block it meets with ``k`` members or
+        more.  When the held survivors pass ``SCAN_CHUNK_ELEMS``
+        elements they are selected into ``top`` early, and each full
+        row's k-th score there raises its floor, so they stay bounded
+        with no floor at all.  Both later floors are exact in the scan's
+        own floats.
+        Returns ``(scanned, survivors)``, the survivors not yet selected
+        as ``(rows, ids, scores)``.
+        """
+        if self._unit is not None and not stable:
+            # Cosine reads the stored unit rows and normalises the
+            # queries once; both are row-wise, so bitwise the kernel's.
+            source = normalize_rows(np.ascontiguousarray(queries))
+
+            def kernel(rows: np.ndarray, members: np.ndarray) -> BlockKernel:
+                block_source, target_t = source[rows], self._unit[members].T
+                return lambda chunk: block_source[chunk] @ target_t
+
+            # Two BLAS dot products of the same unit rows differ by at
+            # most 2 * gamma_d <= ~d * eps (see :meth:`_certified_scan`).
+            margin = 4 * self.dim * np.finfo(np.float64).eps
+        else:
+            prepare = prepare_stable_metric if stable else prepare_metric
+
+            def kernel(rows: np.ndarray, members: np.ndarray) -> BlockKernel:
+                return prepare(
+                    self.metric, queries[rows], self._vectors[members], SCAN_CHUNK_ELEMS
+                )
+
+            # A pair-stable score does not depend on the block; no bound
+            # is derived for the expanded euclidean BLAS form.
+            margin = 0.0 if stable or self.metric == "manhattan" else None
+        floor = self._floors(kernel, nearest, scannable, top.k, margin)
+        held: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        n_held = scanned = 0
+        for rows, members in self._probe_groups(probed, scannable):
+            block = kernel(rows, members)
+            # Rows sized for their scores plus a k-wide merge pool, three
+            # arrays: the tile shapes the candidate sets' bits are pinned
+            # under, as BLAS may round differently in another shape.
+            chunk_rows = rows_per_chunk(3 * (len(members) + top.k), SCAN_CHUNK_ELEMS)
+            for chunk in row_chunks(len(rows), chunk_rows):
+                block_rows = rows[chunk]
+                scores = block(chunk)
+                row_floor = floor[block_rows]
+                unset = np.flatnonzero(row_floor == -np.inf)
+                if len(unset) and len(members) >= top.k:
+                    # The block's own k-th score: exact in the scan's floats.
+                    cut = len(members) - top.k
+                    row_floor[unset] = np.partition(scores[unset], cut, axis=1)[:, cut]
+                    floor[block_rows[unset]] = row_floor[unset]
+                kept = np.flatnonzero(scores >= row_floor[:, None])
+                pair_rows, columns = np.divmod(kept, len(members))
+                held.append((block_rows[pair_rows], members[columns], scores.ravel()[kept]))
+                n_held += len(kept)
+                # Three elements a survivor: a row, an id and a score.
+                if 3 * n_held > SCAN_CHUNK_ELEMS:
+                    survivors = _concatenate(held)
+                    held, n_held = [], 0
+                    _select(top, *survivors)
+                    np.maximum(floor, top.scores.min(axis=1), out=floor)
+            top.found[rows] += len(members)
+            scanned += len(rows) * len(members)
+        return scanned, _concatenate(held)
+
+    def _floors(
+        self,
+        kernel: Callable[[np.ndarray, np.ndarray], BlockKernel],
+        nearest: np.ndarray,
+        scannable: np.ndarray,
+        k: int,
+        margin: float | None,
+    ) -> np.ndarray:
+        """Per query row, a score no final top-``k`` member falls below.
+
+        It is the ``k``-th best score over the scannable members of the
+        row's nearest list, which the row always scans, less ``margin``,
+        the most the scan's block kernel can round that list's scores
+        away from this one's.  A dead or excluded member never sets it.
+        A row whose nearest list holds fewer than ``k`` such members,
+        or a kernel without a bound (``margin`` of ``None``), gets
+        ``-inf``.
+        """
+        floor = np.full(len(nearest), -np.inf)
+        if margin is None:
+            return floor
+        for cluster, rows in enumerate(cluster_members(nearest, self.n_clusters)):
+            if len(rows) == 0:
+                continue
+            members = self._lists[cluster][scannable[self._lists[cluster]]]
+            if len(members) < k:
+                continue
+            block = kernel(rows, members)
+            cut = len(members) - k
+            for chunk in row_chunks(len(rows), rows_per_chunk(2 * len(members), SCAN_CHUNK_ELEMS)):
+                kth = np.partition(block(chunk), cut, axis=1)[:, cut]
+                floor[rows[chunk]] = kth - margin
+        return floor
 
     def _certified_scan(
         self,

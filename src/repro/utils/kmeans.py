@@ -23,11 +23,20 @@ the centroids, are bitwise the reference rule's — the quantizer does
 not depend on which form ran.  The Lloyd update gathers each cluster's
 members in ascending row order (:func:`cluster_members`), the order a
 boolean mask gives, so its means keep their bits too.
+
+Squared centroid distances come from one generator,
+:func:`distance_chunks`, for every consumer: the Lloyd assignment,
+:func:`nearest_centroid` and the IVF search probe.  It runs the matmul
+once and evaluates ``(|x|^2 + |c|^2) - 2.0 * (x @ C.T)`` a few hundred
+rows at a time, in the matmul's buffer, so the elementwise passes and
+the consumer's reduction run in cache.  The expression and its operand
+order are the full-matrix form's, so the values, the assignments and
+the centroids keep their bits.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,7 +57,7 @@ def kmeans_centroids(
     Farthest-point seeding keeps the result deterministic and well
     spread.  Returns ``(centroids, center)``; the centroids live in the
     centered frame, so queries must be shifted by the same ``center``
-    (see :func:`centroid_distances`).
+    (see :func:`nearest_centroid`).
 
     ``on_round(round_index, moved)`` is called after each assignment
     round with the 1-based round number and how many points changed
@@ -63,9 +72,7 @@ def kmeans_centroids(
 
     previous = None
     for round_index in range(iterations):
-        assignment = centroid_distances(
-            centered, centroids, np.zeros_like(center)
-        ).argmin(axis=1)
+        assignment = nearest_centroid(centered, centroids, np.zeros_like(center))
         for b, members in enumerate(cluster_members(assignment, k)):
             if len(members):
                 centroids[b] = centered[members].mean(axis=0)
@@ -182,23 +189,55 @@ def _score_exactly(
     scored_upto[rows] = len(chosen)
 
 
+#: Elements of one row chunk of the fused distance pass: a few hundred
+#: rows of the distance matrix, so its passes run in cache.
+DISTANCE_CHUNK_ELEMS = 2**15
+
+
+def distance_chunks(
+    data: np.ndarray, centroids: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(rows, distances)`` per row chunk of ``data``: the squared
+    distances ``(|x|^2 + |c|^2) - 2.0 * (x @ C.T)`` to each centroid.
+
+    ``data`` is already in the centroids' frame.  The matmul runs once
+    over all rows, and its result is the buffer the chunks are written
+    into, so each chunk's elementwise passes (and its consumer's) run in
+    cache instead of as full-matrix passes.  Every value is the
+    full-matrix expression's, operand for operand: the chunking changes
+    no bit.  Each chunk is a view of that one buffer.
+    """
+    dots = data @ centroids.T
+    sq_data = np.sum(data**2, axis=1)
+    sq_centroids = np.sum(centroids**2, axis=1)
+    for rows in row_chunks(len(data), rows_per_chunk(len(centroids), DISTANCE_CHUNK_ELEMS)):
+        block = dots[rows]
+        block *= 2.0
+        np.subtract(sq_data[rows, None] + sq_centroids, block, out=block)
+        yield rows, block
+
+
 def centroid_distances(
     matrix: np.ndarray, centroids: np.ndarray, center: np.ndarray
 ) -> np.ndarray:
-    """Squared distances to each centroid.
+    """Squared distances to each centroid, as one matrix.
 
     ``center`` is the mean the centroids were fitted under; query rows
     are shifted by the *same* mean so both sides live in one coordinate
     frame.
     """
     data = matrix - center
-    sq_data = np.sum(data**2, axis=1)[:, None]
-    sq_centroids = np.sum(centroids**2, axis=1)[None, :]
-    return sq_data + sq_centroids - 2.0 * (data @ centroids.T)
+    distances = np.empty((len(data), len(centroids)), dtype=np.result_type(data, centroids))
+    for rows, block in distance_chunks(data, centroids):
+        distances[rows] = block
+    return distances
 
 
 def nearest_centroid(
     matrix: np.ndarray, centroids: np.ndarray, center: np.ndarray
 ) -> np.ndarray:
-    """Nearest-centroid cluster id per row of ``matrix``."""
-    return centroid_distances(matrix, centroids, center).argmin(axis=1)
+    """Nearest-centroid cluster id per row of ``matrix``; the first on ties."""
+    nearest = np.empty(len(matrix), dtype=np.intp)
+    for rows, block in distance_chunks(matrix - center, centroids):
+        nearest[rows] = block.argmin(axis=1)
+    return nearest

@@ -2,7 +2,10 @@
 
 ``reference_kmeans`` is the fit as it was before certified seeding: one
 ``np.linalg.norm(X - c)`` pass per seed and a boolean-mask Lloyd update.
-The certified form must return the same ``(centroids, center)`` bits on
+Its squared centroid distances are one full-matrix expression,
+``reference_distances``, written out here so the oracle does not move
+with the fused, row-chunked form the library computes them in.  The
+certified form must return the same ``(centroids, center)`` bits on
 inputs built to stress it: exact duplicates, rounded-lattice ties, zero
 rows, scales from 1e-6 to 1e6, dims past numpy's 128-wide pairwise
 summation block, and ``k`` up to ``n`` (every distance reaches 0).
@@ -11,7 +14,23 @@ summation block, and ``k`` up to ``n`` (every distance reaches 0).
 import numpy as np
 import pytest
 
-from repro.utils.kmeans import centroid_distances, cluster_members, kmeans_centroids
+from repro.utils.kmeans import (
+    DISTANCE_CHUNK_ELEMS,
+    centroid_distances,
+    cluster_members,
+    distance_chunks,
+    kmeans_centroids,
+    nearest_centroid,
+)
+from repro.utils.parallel import rows_per_chunk
+
+
+def reference_distances(matrix, centroids, center):
+    """The squared centroid distances, as one full-matrix expression."""
+    data = matrix - center
+    sq_data = np.sum(data**2, axis=1)[:, None]
+    sq_centroids = np.sum(centroids**2, axis=1)[None, :]
+    return sq_data + sq_centroids - 2.0 * (data @ centroids.T)
 
 
 def reference_kmeans(matrix, k, iterations=8, on_round=None):
@@ -31,7 +50,7 @@ def reference_kmeans(matrix, k, iterations=8, on_round=None):
 
     previous = None
     for round_index in range(iterations):
-        assignment = centroid_distances(
+        assignment = reference_distances(
             centered, centroids, np.zeros_like(center)
         ).argmin(axis=1)
         for b in range(k):
@@ -119,6 +138,44 @@ class TestBitwiseAgainstReference:
         reference_kmeans(matrix, 9, iterations=5, on_round=lambda *a: want.append(a))
         assert got == want
         assert [r for r, _ in got] == [1, 2, 3, 4, 5]
+
+
+class TestFusedDistances:
+    """The fused, row-chunked distances are the full-matrix expression's
+    bits, and so are the Lloyd argmin and ``nearest_centroid`` over them."""
+
+    N_CENTROIDS = 37
+    CHUNK = rows_per_chunk(N_CENTROIDS, DISTANCE_CHUNK_ELEMS)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise(self, family, n, dtype):
+        matrix = _family(family, n, 9, 1.0, seed=n).astype(dtype)
+        centroids = _family(family, self.N_CENTROIDS, 9, 1.0, seed=n + 1).astype(dtype)
+        centroids[3] = centroids[1]  # duplicated centroids tie exactly
+        center = matrix.mean(axis=0)
+        want = reference_distances(matrix, centroids, center)
+        got = centroid_distances(matrix, centroids, center)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        nearest = nearest_centroid(matrix, centroids, center)
+        assert nearest.tobytes() == want.argmin(axis=1).tobytes()
+        chunks = list(distance_chunks(matrix - center, centroids))
+        assert [rows.stop for rows, _ in chunks][-1] == n
+        assert max(rows.stop - rows.start for rows, _ in chunks) <= self.CHUNK
+
+    def test_lloyd_argmin_is_the_reference_on_a_chunked_shape(self):
+        # More rows than one chunk, lattice ties and duplicates.
+        matrix = _family("duplicates", 3 * self.CHUNK + 1, 4, 1.0, seed=5)
+        assert_same_fit(matrix, self.N_CENTROIDS, iterations=3)
+        assert_same_fit(matrix.astype(np.float32), self.N_CENTROIDS, iterations=3)
+
+    def test_single_row_allocates_one_row(self):
+        centroids = np.arange(12.0).reshape(4, 3)
+        ((rows, block),) = distance_chunks(np.ones((1, 3)), centroids)
+        assert rows == slice(0, 1)
+        assert block.shape == (1, 4)
 
 
 class TestValidation:
