@@ -294,8 +294,9 @@ class TopK:
     ``(-score, id asc)``.
 
     Because the order is total, blocks merge in any order and grouping
-    into the top-k of their union.  The IVF scan merges every block
-    here, and the serving layer merges its delta scan the same way.
+    into the top-k of their union.  The IVF scan selects its survivors
+    here (:func:`repro.index.ivf._select`), and the serving layer merges
+    its delta scan the same way.
     Unfilled slots hold a ``-inf`` score and are never reported.
     """
 
@@ -326,9 +327,9 @@ class TopK:
         by default the block width."""
         k = self.k
         pool_scores = np.concatenate([self.scores[rows], scores], axis=1)
-        pool_ids = np.concatenate(
-            [self.ids[rows], np.broadcast_to(ids, scores.shape)], axis=1
-        )
+        pool_ids = np.empty(pool_scores.shape, dtype=np.int64)
+        pool_ids[:, :k] = self.ids[rows]
+        pool_ids[:, k:] = ids  # one row of ids broadcasts to every row
         cut = pool_scores.shape[1] - k
         keep = pool_scores >= np.partition(pool_scores, cut, axis=1)[:, cut, None]
         # More than k candidates at or above the k-th score: a tie at the
@@ -342,36 +343,13 @@ class TopK:
         self.ids[rows] = pool_ids[keep].reshape(-1, k)
         self.found[rows] += scores.shape[1] if found is None else found
 
-    def merge_ragged(
-        self,
-        rows: np.ndarray,
-        pair_rows: np.ndarray,
-        ids: np.ndarray,
-        scores: np.ndarray,
-        found: int,
-    ) -> None:
-        """Merge per-row candidate lists of varying length: ``scores[p]``
-        is the score of ``ids[p]`` for row ``rows[pair_rows[p]]``, with
-        ``pair_rows`` ascending.  Short rows are padded with unfilled
-        (``-inf``) slots, which ``found`` keeps from being reported."""
-        counts = np.bincount(pair_rows, minlength=len(rows))
-        width = int(counts.max()) if len(rows) else 0
-        slots = np.arange(len(pair_rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        block_scores = np.full((len(rows), width), -np.inf)
-        block_ids = np.full((len(rows), width), np.iinfo(np.int64).max, dtype=np.int64)
-        block_scores[pair_rows, slots] = scores
-        block_ids[pair_rows, slots] = ids
-        self.merge(rows, block_scores, block_ids, found=found)
-
     def candidates(self, n_targets: int) -> CandidateSet:
         """The buffer as a best-first :class:`CandidateSet`."""
         order = np.lexsort((self.ids, -self.scores), axis=1)
+        rows = np.arange(len(order))[:, None]
         counts = np.minimum(self.found, self.k)
         filled = np.arange(self.k) < counts[:, None]
         indptr = np.concatenate([[0], np.cumsum(counts)])
         return CandidateSet(
-            indptr,
-            np.take_along_axis(self.ids, order, axis=1)[filled],
-            np.take_along_axis(self.scores, order, axis=1)[filled],
-            n_targets,
+            indptr, self.ids[rows, order][filled], self.scores[rows, order][filled], n_targets
         )

@@ -14,13 +14,14 @@ Work per query is O(n_clusters d + scanned d); with balanced lists and
 ``nprobe`` fixed, the scanned set is ``~ nprobe / n_clusters`` of the
 targets — the knob that trades recall for speed.
 
-:meth:`IVFIndex.search` is one scan for both scoring kernels (BLAS or
-pair-stable): lists probed by the same query rows are one block, and
-every block merges into one :class:`~repro.index.candidates.TopK` under
-the total order ``(-score, position asc)``.  Pair-stable cosine scores
-come from a certified scan: BLAS scores the block, and only the pairs
-within a proven rounding margin of each row's k-th score are rescored
-pair-stably.
+:meth:`IVFIndex.search` is one scan for every kernel (BLAS or
+pair-stable): lists probed by the same query rows are one block, each
+block keeps only the pairs at or above a per-row floor, and the
+survivors are selected once into a
+:class:`~repro.index.candidates.TopK` under the total order ``(-score,
+position asc)``.  Pair-stable cosine runs that scan in rescore mode:
+BLAS scores the block, every floor is lowered by a proven rounding
+margin, and only the survivors are rescored pair-stably.
 
 The index is observable (``index.*`` spans and counters: queries,
 scanned candidates, per-row shortfalls) and persistable to a
@@ -127,12 +128,18 @@ def _nearest_lists(distances: np.ndarray, nprobe: int, out: np.ndarray) -> None:
         out[tied] = below | (at & (np.cumsum(at, axis=1) <= room[:, None]))
 
 
+#: The id of an unfilled slot: after every real id under ``(-score, id asc)``.
+_NO_ID = np.iinfo(np.int64).max
+
+
 def _concatenate(
     held: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Survivor pieces ``(rows, ids, scores)`` as one triple of arrays."""
     if not held:
         return (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0))
+    if len(held) == 1:
+        return held[0]
     return tuple(np.concatenate(part) for part in zip(*held))
 
 
@@ -152,9 +159,10 @@ def _select(top: TopK, rows: np.ndarray, ids: np.ndarray, scores: np.ndarray) ->
     order = np.argsort(rows)
     counts = np.bincount(rows, minlength=len(top.found))
     starts = np.cumsum(counts) - counts
-    widths = np.left_shift(1, np.frexp(np.maximum(counts, 1) - 1)[1])
+    widths = np.left_shift(1, np.frexp(counts - 1)[1])
     widths[counts == 0] = 0
-    for width in np.unique(widths[widths > 0]):
+    # A set, not np.unique: that would load numpy.ma on the serving path.
+    for width in sorted(set(widths.tolist()) - {0}):
         group = np.flatnonzero(widths == width)
         pieces = row_chunks(len(group), rows_per_chunk(3 * (width + top.k), SCAN_CHUNK_ELEMS))
         for piece in pieces:
@@ -164,7 +172,7 @@ def _select(top: TopK, rows: np.ndarray, ids: np.ndarray, scores: np.ndarray) ->
             top.merge(
                 part,
                 np.where(filled, scores[slots], -np.inf),
-                np.where(filled, ids[slots], np.iinfo(np.int64).max),
+                np.where(filled, ids[slots], _NO_ID),
                 found=0,
             )
 
@@ -474,17 +482,16 @@ class IVFIndex:
         skip (the serving layer masks base copies of entities that have
         a newer delta version).
 
-        ``stable=True`` returns the *pair-stable* scores
+        Every kernel runs one scan (:meth:`_threshold_scan`): it keeps
+        only the pairs at or above a per-row floor and selects once at
+        the end.  ``stable=True`` returns the *pair-stable* scores
         (:func:`prepare_stable_metric`), bitwise-reproducible across
         batch sizes, probe sets and index rebuilds, as the serving
-        equality contracts require.  For cosine it is computed by the
-        certified scan (:meth:`_certified_scan`): BLAS scores every
-        probed pair, and only the pairs rounding could still place in
-        the top ``k`` are rescored pair-stably.  Otherwise the threshold
-        scan (:meth:`_threshold_scan`) keeps only the pairs at or above
-        a per-row floor and selects once at the end.  The default BLAS
-        kernel's floats may vary with the block shape, but offline
-        candidate generation keeps it, as the fastest.
+        equality contracts require.  For cosine the scan runs in rescore
+        mode: BLAS scores every probed pair, and only the pairs rounding
+        could still place in the top ``k`` are rescored pair-stably.
+        The default BLAS kernel's floats may vary with the block shape,
+        but offline candidate generation keeps it, as the fastest.
 
         The work is traced as three stages under ``index.search``:
         ``index.probe`` (centroid distances and probe sets),
@@ -513,26 +520,19 @@ class IVFIndex:
                     f"got {exclude.shape}"
                 )
         scannable = self._alive if exclude is None else self._alive & ~exclude
-        certified = stable and self._unit is not None
         registry = obs_metrics.get_metrics()
         with obs_trace.span(
             "index.search", queries=n_queries, k=k, nprobe=nprobe
         ) as span:
             top = TopK(n_queries, min(k, self.ntotal))
             with obs_trace.span("index.probe"):
-                probed, nearest = self._probe(queries, nprobe, want_nearest=not certified)
+                probed, nearest = self._probe(queries, nprobe)
             with obs_trace.span("index.scan"):
-                if certified:
-                    scanned, rescored = self._certified_scan(top, queries, probed, scannable)
-                    survivors = None
-                else:
-                    scanned, survivors = self._threshold_scan(
-                        top, queries, probed, nearest, scannable, stable
-                    )
-                    rescored = scanned if stable else 0
+                scanned, rescored, survivors = self._threshold_scan(
+                    top, queries, probed, nearest, scannable, stable
+                )
             with obs_trace.span("index.select"):
-                if survivors is not None:
-                    _select(top, *survivors)
+                _select(top, *survivors)
                 candidates = top.candidates(self.ntotal)
             shortfall = int((top.found < k).sum())
             span.count("scanned", scanned)
@@ -545,21 +545,21 @@ class IVFIndex:
         return candidates
 
     def _probe(
-        self, queries: np.ndarray, nprobe: int, want_nearest: bool
+        self, queries: np.ndarray, nprobe: int
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """``(probed, nearest)``: the ``(n_queries, n_clusters)`` mask of
         the lists each query scans, and each query's nearest list (the
-        first of its probe order), or ``None`` when not wanted.  At full
-        ``nprobe`` the mask needs no distances."""
+        first of its probe order).  At full ``nprobe`` the mask needs no
+        distances and ``nearest`` is ``None``: the probe is one block,
+        whose own k-th score is each row's tightest floor."""
         full = nprobe == self.n_clusters
         probed = np.full((len(queries), self.n_clusters), full)
-        if full and not want_nearest:
+        if full:
             return probed, None
         nearest = np.empty(len(queries), dtype=np.intp)
         for rows, distances in distance_chunks(queries - self._center, self._centroids):
             nearest[rows] = distances.argmin(axis=1)
-            if not full:
-                _nearest_lists(distances, nprobe, out=probed[rows])
+            _nearest_lists(distances, nprobe, out=probed[rows])
         return probed, nearest
 
     def _threshold_scan(
@@ -567,36 +567,50 @@ class IVFIndex:
         top: TopK,
         queries: np.ndarray,
         probed: np.ndarray,
-        nearest: np.ndarray,
+        nearest: np.ndarray | None,
         scannable: np.ndarray,
         stable: bool,
-    ) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The scan for every kernel but the certified one: score each
-        probe block, keep only the pairs at or above the row's floor.
+    ) -> tuple[int, int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The scan: score each probe block, keep only the pairs at or
+        above the row's floor.
 
         The floor (:meth:`_floors`) is at most the row's final k-th
         score, so the survivors hold the top ``k``; on offline shapes
         they are about 4% of the scanned pairs.  A row without one takes
-        the k-th score of the first block it meets with ``k`` members or
-        more.  When the held survivors pass ``SCAN_CHUNK_ELEMS``
-        elements they are selected into ``top`` early, and each full
-        row's k-th score there raises its floor, so they stay bounded
-        with no floor at all.  Both later floors are exact in the scan's
-        own floats.
-        Returns ``(scanned, survivors)``, the survivors not yet selected
-        as ``(rows, ids, scores)``.
-        """
-        if self._unit is not None and not stable:
-            # Cosine reads the stored unit rows and normalises the
-            # queries once; both are row-wise, so bitwise the kernel's.
-            source = normalize_rows(np.ascontiguousarray(queries))
+        the k-th score of the first block it meets with ``k`` live
+        members or more.  When the held survivors pass
+        ``SCAN_CHUNK_ELEMS`` elements they are selected into ``top``
+        early, and each full row's k-th score there raises its floor, so
+        they stay bounded with no floor at all.
 
-            def kernel(rows: np.ndarray, members: np.ndarray) -> BlockKernel:
-                block_source, target_t = source[rows], self._unit[members].T
+        Pair-stable cosine runs in *rescore* mode: BLAS scores the block
+        as a prefilter, each survivor is rescored with :func:`pair_dots`
+        before it is held, and both later floors are lowered by the same
+        margin as the nearest-list one (elsewhere they are exact in the
+        scan's own floats).  A probe of every position is then scored in
+        place under the liveness mask, not gathered.
+        Returns ``(scanned, rescored, survivors)``, the survivors not yet
+        selected as ``(rows, ids, scores)``.
+        """
+        rescore = stable and self._unit is not None
+        if self._unit is not None:
+            # Cosine reads the stored unit rows and normalises the
+            # queries once, row-wise: bitwise the BLAS kernel's, or the
+            # pair-stable kernel's in rescore mode.
+            if rescore:
+                source = normalize_each_row(queries)
+            else:
+                source = normalize_rows(np.ascontiguousarray(queries))
+
+            def kernel(rows: np.ndarray, members: np.ndarray | None) -> BlockKernel:
+                block_source = source[rows]
+                target_t = (self._unit if members is None else self._unit[members]).T
                 return lambda chunk: block_source[chunk] @ target_t
 
-            # Two BLAS dot products of the same unit rows differ by at
-            # most 2 * gamma_d <= ~d * eps (see :meth:`_certified_scan`).
+            # Any two of the BLAS, pair-stable and exact dot products of
+            # the same unit rows are within 2 * gamma_d <= ~d * eps
+            # (Higham, *Accuracy and Stability of Numerical Algorithms*,
+            # §3.1); the margin is twice that.
             margin = 4 * self.dim * np.finfo(np.float64).eps
         else:
             prepare = prepare_stable_metric if stable else prepare_metric
@@ -609,11 +623,27 @@ class IVFIndex:
             # A pair-stable score does not depend on the block; no bound
             # is derived for the expanded euclidean BLAS form.
             margin = 0.0 if stable or self.metric == "manhattan" else None
-        floor = self._floors(kernel, nearest, scannable, top.k, margin)
+        slack = margin if rescore else 0.0
+        if rescore and probed.all():
+            blocks = [(np.arange(len(queries)), None)]
+        else:
+            blocks = self._probe_groups(probed, scannable)
+        if len(blocks) > 1 and margin is not None:
+            floor = self._floors(kernel, nearest, scannable, top.k, margin)
+        else:
+            # One block: each row's own k-th in it is the tightest floor.
+            floor = np.full(len(queries), -np.inf)
         held: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        n_held = scanned = 0
-        for rows, members in self._probe_groups(probed, scannable):
+        n_held = scanned = rescored = 0
+        for rows, members in blocks:
             block = kernel(rows, members)
+            if members is None:
+                # Every position, scored in place; the dead are masked.
+                dead = np.flatnonzero(~scannable)
+                members = np.arange(self.ntotal)
+                n_live = self.ntotal - len(dead)
+            else:
+                dead, n_live = None, len(members)
             # Rows sized for their scores plus a k-wide merge pool, three
             # arrays: the tile shapes the candidate sets' bits are pinned
             # under, as BLAS may round differently in another shape.
@@ -621,26 +651,39 @@ class IVFIndex:
             for chunk in row_chunks(len(rows), chunk_rows):
                 block_rows = rows[chunk]
                 scores = block(chunk)
+                if dead is not None:
+                    scores[:, dead] = -np.inf
                 row_floor = floor[block_rows]
                 unset = np.flatnonzero(row_floor == -np.inf)
-                if len(unset) and len(members) >= top.k:
-                    # The block's own k-th score: exact in the scan's floats.
+                if len(unset) and n_live >= top.k:
                     cut = len(members) - top.k
-                    row_floor[unset] = np.partition(scores[unset], cut, axis=1)[:, cut]
+                    kth = scores[unset]
+                    kth.partition(cut, axis=1)
+                    row_floor[unset] = kth[:, cut] - slack
                     floor[block_rows[unset]] = row_floor[unset]
-                kept = np.flatnonzero(scores >= row_floor[:, None])
+                keep = scores >= row_floor[:, None]
+                if dead is not None:
+                    keep[:, dead] = False  # under k live members, -inf passes
+                kept = np.flatnonzero(keep)
                 pair_rows, columns = np.divmod(kept, len(members))
-                held.append((block_rows[pair_rows], members[columns], scores.ravel()[kept]))
+                pair_rows, ids = block_rows[pair_rows], members[columns]
+                if rescore:
+                    held.append((pair_rows, ids, pair_dots(self._unit[ids], source[pair_rows])))
+                    rescored += len(ids)
+                else:
+                    held.append((pair_rows, ids, scores.ravel()[kept]))
                 n_held += len(kept)
                 # Three elements a survivor: a row, an id and a score.
                 if 3 * n_held > SCAN_CHUNK_ELEMS:
                     survivors = _concatenate(held)
                     held, n_held = [], 0
                     _select(top, *survivors)
-                    np.maximum(floor, top.scores.min(axis=1), out=floor)
-            top.found[rows] += len(members)
-            scanned += len(rows) * len(members)
-        return scanned, _concatenate(held)
+                    np.maximum(floor, top.scores.min(axis=1) - slack, out=floor)
+            top.found[rows] += n_live
+            scanned += len(rows) * n_live
+        if stable and not rescore:
+            rescored = scanned
+        return scanned, rescored, _concatenate(held)
 
     def _floors(
         self,
@@ -648,7 +691,7 @@ class IVFIndex:
         nearest: np.ndarray,
         scannable: np.ndarray,
         k: int,
-        margin: float | None,
+        margin: float,
     ) -> np.ndarray:
         """Per query row, a score no final top-``k`` member falls below.
 
@@ -656,84 +699,26 @@ class IVFIndex:
         row's nearest list, which the row always scans, less ``margin``,
         the most the scan's block kernel can round that list's scores
         away from this one's.  A dead or excluded member never sets it.
-        A row whose nearest list holds fewer than ``k`` such members,
-        or a kernel without a bound (``margin`` of ``None``), gets
-        ``-inf``.
+        A row whose nearest list holds fewer than ``k`` such members
+        gets ``-inf``.  Only the lists some row is nearest to are
+        scored.
         """
         floor = np.full(len(nearest), -np.inf)
-        if margin is None:
-            return floor
-        for cluster, rows in enumerate(cluster_members(nearest, self.n_clusters)):
-            if len(rows) == 0:
-                continue
+        # Rows grouped by nearest list, ascending within a list.
+        order = np.argsort(nearest, kind="stable")
+        counts = np.bincount(nearest, minlength=self.n_clusters)
+        ends = np.cumsum(counts)
+        for cluster in np.flatnonzero(counts):
             members = self._lists[cluster][scannable[self._lists[cluster]]]
             if len(members) < k:
                 continue
+            rows = order[ends[cluster] - counts[cluster] : ends[cluster]]
             block = kernel(rows, members)
             cut = len(members) - k
             for chunk in row_chunks(len(rows), rows_per_chunk(2 * len(members), SCAN_CHUNK_ELEMS)):
                 kth = np.partition(block(chunk), cut, axis=1)[:, cut]
                 floor[rows[chunk]] = kth - margin
         return floor
-
-    def _certified_scan(
-        self,
-        top: TopK,
-        queries: np.ndarray,
-        probed: np.ndarray,
-        scannable: np.ndarray,
-    ) -> tuple[int, int]:
-        """The cosine pair-stable scan: BLAS prefilter, pair-stable rescore.
-
-        Both kernels take dot products of the same unit rows and differ
-        only in summation order, so a BLAS score is within
-        ``2 * gamma_d <= ~d * eps`` of the pair-stable one (Higham,
-        *Accuracy and Stability of Numerical Algorithms*, §3.1).  A
-        block's pair-stable top ``k`` therefore lies among the members
-        whose BLAS score is at least the row's k-th BLAS score in the
-        block, or its current k-th merged score, minus ``4 * d * eps``;
-        only those are rescored, and the merged result equals the
-        pair-stable kernel's bitwise.  Near-ties and duplicates just
-        rescore more pairs.  A block covering every position (full
-        ``nprobe``) is scored in place under the liveness mask, not
-        gathered.  Returns ``(scanned, rescored)`` pair counts.
-        """
-        queries = normalize_each_row(queries)
-        margin = 4 * self.dim * np.finfo(np.float64).eps
-        if probed.all():
-            blocks = [(np.arange(len(queries)), None)]
-        else:
-            blocks = self._probe_groups(probed, scannable)
-        scanned = rescored = 0
-        for rows, members in blocks:
-            if members is None:
-                vectors, live = self._unit, scannable
-                dead, n_live = np.flatnonzero(~scannable), int(scannable.sum())
-            else:
-                vectors, live = self._unit[members], None
-                n_live = len(members)
-            # A row holds its BLAS scores and their partitioned copy.
-            chunk_rows = rows_per_chunk(2 * len(vectors), SCAN_CHUNK_ELEMS)
-            for chunk in row_chunks(len(rows), chunk_rows):
-                block_rows = rows[chunk]
-                scores = queries[block_rows] @ vectors.T
-                floor = top.scores[block_rows].min(axis=1)
-                if live is not None:
-                    scores[:, dead] = -np.inf
-                if n_live > top.k:
-                    cut = scores.shape[1] - top.k
-                    kth = np.partition(scores, cut, axis=1)[:, cut]
-                    floor = np.maximum(floor, kth)
-                keep = scores >= (floor - margin)[:, None]
-                if live is not None:
-                    keep &= live  # under k live members, -inf passes the floor
-                pair_rows, columns = np.nonzero(keep)
-                ids = columns if members is None else members[columns]
-                exact = pair_dots(self._unit[ids], queries[block_rows[pair_rows]])
-                top.merge_ragged(block_rows, pair_rows, ids, exact, n_live)
-                rescored += len(ids)
-            scanned += len(rows) * n_live
-        return scanned, rescored
 
     def stable_scores(self, queries: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Pair-stable scores of each query row against the vectors at

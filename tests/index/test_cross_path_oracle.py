@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.index import IVFIndex, blocked_candidates
+from repro.index.ivf import _select
 from repro.serve.state import ServingState
 from repro.similarity import SimilarityEngine, chunked_top_k
 from repro.similarity.metrics import prepare_stable_metric, similarity_matrix
@@ -185,16 +186,44 @@ def test_exact_paths_break_ties_like_full_probe_ivf(metric):
 
 # -- the certified cosine scan -----------------------------------------
 #
-# ``search(stable=True)`` on cosine scores every probed pair with BLAS
-# and rescores pair-stably only the pairs within a rounding bound of
-# each row's k-th BLAS score.  These inputs aim at that bound: exact
-# duplicates, near-ties that BLAS and the pair-stable formula order
-# differently at the cut, zero rows, and blocks holding fewer than k
-# live members.
+# ``search(stable=True)`` on cosine runs the threshold scan in rescore
+# mode: BLAS scores every probed pair, every floor is lowered by a
+# rounding bound, and only the survivors are rescored pair-stably.
+# These inputs aim at that bound: exact duplicates, near-ties that BLAS
+# and the pair-stable formula order differently at the cut, zero rows,
+# blocks holding fewer than k live members, and a cone of near-tied
+# targets over several lists, selected early (floors raised from
+# pair-stable scores) or with nearest lists under k live members
+# (floors from a block's own k-th).
 
-CERTIFIED_CASES = ("duplicates", "near-ties", "zero-rows", "sparse-blocks")
+CERTIFIED_CASES = (
+    "duplicates", "near-ties", "zero-rows", "sparse-blocks", "early-selects",
+    "short-nearest-lists",
+)
 CERTIFIED_DIM = 32
 CERTIFIED_TARGETS = 120
+#: ``SCAN_CHUNK_ELEMS`` per case, where it is patched small: survivors
+#: are then selected every few pairs, and each selection raises floors.
+CERTIFIED_CHUNK_ELEMS = {"early-selects": 24}
+
+
+def unit(rows):
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+def cone_inputs(rng, batch):
+    """A cone of targets at 60 degrees around one axis: each has the same
+    cosine to the axis up to rounding, and the cone spreads over every
+    inverted list.  Even query rows are the axis times a scale; odd rows
+    are random, and probe other lists, so an axis row's probed lists
+    fall in different blocks.
+    """
+    axis = unit(rng.normal(size=CERTIFIED_DIM))
+    sides = rng.normal(size=(CERTIFIED_TARGETS, CERTIFIED_DIM))
+    targets = 0.5 * axis + np.sqrt(0.75) * unit(sides - np.outer(sides @ axis, axis))
+    queries = rng.normal(size=(batch, CERTIFIED_DIM))
+    queries[::2] = axis * rng.uniform(0.2, 3.0, size=(len(queries[::2]), 1))
+    return queries, targets
 
 
 def certified_inputs(case, batch):
@@ -217,9 +246,17 @@ def certified_inputs(case, batch):
     elif case == "zero-rows":
         targets[::4] = 0.0
         queries[-1] = 0.0
-    else:  # sparse-blocks: k exceeds the live members of every block
+    elif case == "sparse-blocks":  # k exceeds the live members of every block
         dead = np.flatnonzero(np.arange(CERTIFIED_TARGETS) % 6 != 0)
         k = 30
+    else:
+        queries, targets = cone_inputs(rng, batch)
+    if case == "short-nearest-lists":
+        # Two live members left in the axis rows' nearest list, so their
+        # floor comes from the first probe block with k live members.
+        index = IVFIndex(n_clusters=CLUSTERS).train(targets).add(targets)
+        _, nearest = index._probe(queries[:1], 1)
+        dead = index._lists[nearest[0]][2:]
     return queries, targets, dead, exclude, k
 
 
@@ -253,11 +290,35 @@ def test_near_tie_inputs_reorder_under_blas():
     assert any(differs)
 
 
+@pytest.mark.parametrize("case", ["early-selects", "short-nearest-lists"])
+def test_cone_inputs_reach_the_in_scan_floors(case):
+    """The cone cases really take floors inside the scan: the axis rows
+    meet two probe blocks, their nearest list is short where the case
+    says so, and early selections happen where it patches the chunk."""
+    queries, targets, dead, _, k = certified_inputs(case, 17)
+    index = IVFIndex(n_clusters=CLUSTERS).train(targets).add(targets)
+    for position in dead:
+        index.tombstone(int(position))
+    probed, nearest = index._probe(queries, 2)
+    blocks = index._probe_groups(probed, index.alive_mask)
+    assert all(sum(row in rows for rows, _ in blocks) == 2 for row in range(0, 17, 2))
+    short = [index.live_list_sizes()[cluster] < k for cluster in nearest[::2]]
+    assert all(short) == (case == "short-nearest-lists")
+    selections = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.index.ivf.SCAN_CHUNK_ELEMS", CERTIFIED_CHUNK_ELEMS.get(case, 2**19))
+        patch.setattr("repro.index.ivf._select", lambda *a: selections.append(1) or _select(*a))
+        index.search(queries, k, nprobe=2, stable=True)
+    assert (len(selections) > 1) == (case == "early-selects")
+
+
 @pytest.mark.parametrize("nprobe", [CLUSTERS, 2])
 @pytest.mark.parametrize("batch", [1, 2, 17, 64])
 @pytest.mark.parametrize("case", CERTIFIED_CASES)
-def test_certified_scan_matches_oracle(case, batch, nprobe):
+def test_certified_scan_matches_oracle(case, batch, nprobe, monkeypatch):
     queries, targets, dead, exclude, k = certified_inputs(case, batch)
+    if case in CERTIFIED_CHUNK_ELEMS:
+        monkeypatch.setattr("repro.index.ivf.SCAN_CHUNK_ELEMS", CERTIFIED_CHUNK_ELEMS[case])
     index = IVFIndex(n_clusters=CLUSTERS).train(targets).add(targets)
     for position in dead:
         index.tombstone(int(position))

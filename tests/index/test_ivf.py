@@ -129,9 +129,10 @@ class TestSearchQuality:
 
     @pytest.mark.parametrize("nprobe", [2, 6])
     def test_rescored_counter(self, rng, nprobe):
-        """The certified cosine scan rescores at least ``k`` pairs per
-        row with ``k`` live members, and counts ``scanned`` as the BLAS
-        scan does: every probed live pair."""
+        """Pair-stable cosine counts its threshold survivors as
+        ``rescored``: at least ``k`` per row with ``k`` live members.
+        ``scanned`` counts what the BLAS scan does: every probed live
+        pair."""
         vectors = rng.normal(size=(200, 8))
         index = IVFIndex(n_clusters=6).train(vectors).add(vectors)
         for position in range(0, 200, 7):

@@ -216,11 +216,14 @@ class TestProbeRule:
         index._centroids = np.repeat(index._centroids[:3], 2, axis=0)
         queries = rng.normal(size=(40, 5))
         for nprobe in range(1, 7):
-            probed, nearest = index._probe(queries, nprobe, want_nearest=True)
+            probed, nearest = index._probe(queries, nprobe)
             want = reference_probe(index, queries, nprobe)
             assert probed.tobytes() == want.tobytes()
             assert (probed.sum(axis=1) == nprobe).all()
-            assert probed[np.arange(40), nearest].all()
+            if nprobe == 6:
+                assert nearest is None  # one block: no nearest-list floor
+            else:
+                assert probed[np.arange(40), nearest].all()
             # Of a tied pair, an odd probe count takes the even (lower) id.
             if nprobe % 2:
                 distances = reference_distances(queries, index._centroids, index._center)
@@ -233,18 +236,24 @@ class TestProbeRule:
         index._centroids = np.zeros_like(index._centroids)
         queries = rng.normal(size=(9, 3))
         for nprobe in range(1, 6):
-            probed, nearest = index._probe(queries, nprobe, want_nearest=True)
+            probed, nearest = index._probe(queries, nprobe)
             assert (probed[:, :nprobe]).all() and not probed[:, nprobe:].any()
-            assert (nearest == 0).all()
+            if nprobe == 5:
+                assert nearest is None
+            else:
+                assert (nearest == 0).all()
 
     @pytest.mark.parametrize("n", [1, 2, 231, 232, 233, 600])
     def test_probe_mask_against_reference(self, rng, n):
         vectors = rng.normal(size=(2000, 8))
         index = IVFIndex(n_clusters=141).train(vectors).add(vectors)
         queries = np.vstack([vectors[: n // 2], rng.normal(size=(n - n // 2, 8))])
-        for nprobe in (1, 8, 140):
-            probed, nearest = index._probe(queries, nprobe, want_nearest=True)
+        for nprobe in (1, 8, 140, 141):
+            probed, nearest = index._probe(queries, nprobe)
             assert probed.tobytes() == reference_probe(index, queries, nprobe).tobytes()
+            if nprobe == 141:
+                assert nearest is None
+                continue
             distances = reference_distances(queries, index._centroids, index._center)
             assert nearest.tobytes() == distances.argmin(axis=1).tobytes()
 
